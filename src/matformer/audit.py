@@ -41,11 +41,17 @@ GraphBuilder = Callable[[Crystal], CrystalGraph]
 
 
 def node_signatures(graph: CrystalGraph) -> list[tuple]:
-    """Per-node sorted multiset of (distance, kind, source species)."""
+    """Per-node sorted multiset of (rounded distance, kind, source species, distance).
+
+    Entries sort by the distance rounded to 9 decimals, so that equal
+    distances computed with different rounding errors line up; comparisons
+    use the exact distance, so two values that straddle a rounding boundary
+    differ by their true difference, not by a whole rounding step.
+    """
     incoming: list[list[tuple]] = [[] for _ in range(graph.n_nodes)]
     z = graph.node_atomic_numbers
     for e in graph.edges:
-        incoming[e.dst].append((round(e.distance, 9), _KIND_RANK[e.kind], int(z[e.src])))
+        incoming[e.dst].append((round(e.distance, 9), _KIND_RANK[e.kind], int(z[e.src]), e.distance))
     return [tuple(sorted(sig)) for sig in incoming]
 
 
@@ -61,7 +67,7 @@ def _compare_node_sig(sig_a: tuple, sig_b: tuple) -> float:
     if len(sig_a) != len(sig_b):
         return np.inf
     worst = 0.0
-    for (da, ka, za), (db, kb, zb) in zip(sig_a, sig_b):
+    for (_, ka, za, da), (_, kb, zb, db) in zip(sig_a, sig_b):
         if ka != kb or za != zb:
             return np.inf
         worst = max(worst, abs(da - db))

@@ -42,8 +42,10 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # a fresh copy of 0.0 + g: the same bits as summing into zeros
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -84,10 +86,27 @@ def _node(values, parents, backward_fn, op: str) -> Tensor:
     return out
 
 
+_FREED_TAPE = ("backward through a graph that was already backpropagated: its tape is freed; "
+               "run the forward pass again")
+
+
+def _released(g):
+    """Backward closure of a node whose tape ``backward`` has freed."""
+    raise RuntimeError(_FREED_TAPE)
+
+
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(node) into ``grad`` of every reachable node."""
+    """Accumulate d(root)/d(leaf) into ``grad`` of every reachable leaf.
+
+    The tape is consumed as it goes: once a non-leaf node has passed its
+    gradient on, its ``grad``, backward closure and parent links are
+    dropped, so intermediate buffers are freed as early as they are dead.
+    Only leaf tensors keep gradients, and a graph supports one backward.
+    """
     if root.values.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.values.shape}")
+    if root._backward_fn is _released:
+        raise RuntimeError(_FREED_TAPE)
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -103,9 +122,15 @@ def backward(root: Tensor) -> None:
         for p in node._parents:
             stack.append((p, False))
     root.accumulate(np.ones_like(root.values))
-    for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
+            continue
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        node.grad = None
+        node._backward_fn = _released
+        node._parents = ()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -190,9 +215,17 @@ def concat(parts, axis: int = -1) -> Tensor:
     return _node(np.concatenate([p.values for p in parts], axis=axis), parts, bw, "concat")
 
 
+def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed in one buffer."""
+    s = np.negative(x, out=np.empty_like(x))
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.values))
+    s = _sigmoid_values(a.values)
 
     def bw(g):
         if a.requires_grad:
@@ -204,7 +237,7 @@ def sigmoid(a) -> Tensor:
 def silu(a) -> Tensor:
     """x * sigmoid(x); smooth, with silu(0) = 0."""
     a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.values))
+    s = _sigmoid_values(a.values)
 
     def bw(g):
         if a.requires_grad:
@@ -252,8 +285,27 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def _segment_sum_np(x: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    out = np.zeros((num_segments,) + x.shape[1:])
-    np.add.at(out, segments, x)
+    """Sum the rows of ``x`` into ``num_segments`` rows given by ``segments``.
+
+    Bit for bit what ``np.add.at`` gives on zeros: each segment's rows are
+    added one at a time in input order.  A stable sort groups the rows, the
+    j-th row of every segment goes to slot j of a zero-padded
+    (max_degree, num_segments, ...) buffer, and the slots are added in
+    order, a whole slot per step.  (A ``sum`` over the degree axis would
+    switch to pairwise summation along a contiguous axis, and
+    ``np.add.reduceat`` rounds differently.)
+    """
+    if len(segments) == 0:
+        return np.zeros((num_segments,) + x.shape[1:])
+    order = np.argsort(segments, kind="stable")
+    grouped = segments[order]
+    counts = np.bincount(grouped, minlength=num_segments)
+    rank = np.arange(len(grouped)) - (np.cumsum(counts) - counts)[grouped]
+    slots = np.zeros((counts.max(), num_segments) + x.shape[1:])
+    slots[rank, grouped] = x[order]
+    out = slots[0] + 0.0
+    for slot in slots[1:]:
+        out += slot
     return out
 
 
@@ -282,9 +334,12 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     if dim < 2:
         raise ValueError("layer_norm over a length-1 axis is undefined")
     mean = a.values.mean(axis=-1, keepdims=True)
-    var = a.values.var(axis=-1, keepdims=True)
+    # the centered values and the variance exactly as ``np.var`` forms them
+    xhat = a.values - mean
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    var /= dim
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.values - mean) * inv
+    xhat *= inv
 
     def bw(g):
         if gain.requires_grad:
@@ -296,7 +351,9 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
             term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
             a.accumulate(term * inv)
 
-    return _node(xhat * gain.values + bias.values, (a, gain, bias), bw, "layer_norm")
+    out = xhat * gain.values
+    out += bias.values
+    return _node(out, (a, gain, bias), bw, "layer_norm")
 
 
 @dataclass
@@ -426,9 +483,7 @@ def gather_rows(a, index) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            acc = np.zeros_like(a.values)
-            np.add.at(acc, index, g)
-            a.accumulate(acc)
+            a.accumulate(_segment_sum_np(g, index, a.values.shape[0]))
 
     return _node(a.values[index], (a,), bw, "gather_rows")
 
@@ -441,14 +496,12 @@ def scatter_sum(a, index, num_rows: int) -> Tensor:
     """
     a = _as_tensor(a)
     index = np.asarray(index, dtype=int)
-    out = np.zeros((num_rows,) + a.values.shape[1:])
-    np.add.at(out, index, a.values)
 
     def bw(g):
         if a.requires_grad:
             a.accumulate(g[index])
 
-    return _node(out, (a,), bw, "scatter_sum")
+    return _node(_segment_sum_np(a.values, index, num_rows), (a,), bw, "scatter_sum")
 
 
 def segment_mean(a, index, num_rows: int) -> Tensor:

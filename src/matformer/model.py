@@ -276,6 +276,10 @@ class Matformer:
     @classmethod
     def from_checkpoint(cls, data: dict) -> "Matformer":
         model = cls(ModelConfig(**data["config"]))
+        if len(data["bn_states"]) != len(model.layers):
+            raise ValueError(
+                f"checkpoint has {len(data['bn_states'])} batch-norm states for {len(model.layers)} layers"
+            )
         engine.load_parameter_values(model.parameters(), data["params"])
         for layer, state in zip(model.layers, data["bn_states"]):
             layer.bn_state = BatchNormState.from_dict(state)

@@ -3,13 +3,14 @@ MSE objective, MAE and error-within-threshold evaluation."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine
-from .engine import Tensor
+from .engine import BatchNormState, Tensor
 from .featurize import PreparedGraph, batch_prepared
 from .model import Matformer
 
@@ -76,13 +77,26 @@ def adam_step(
     t = state.step
     for name, p in params.items():
         g = grads[name]
+        m, v = state.m[name], state.v[name]
+        # two scratch buffers per parameter; every line keeps the operand
+        # order of  w -= lr*wd*w;  m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # w -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+        step = np.empty_like(p.values)
         if weight_decay:
-            p.values -= lr * weight_decay * p.values
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
-        p.values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            p.values -= np.multiply(lr * weight_decay, p.values, out=step)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=step)
+        v *= b2
+        sq = np.multiply(1.0 - b2, g, out=step)
+        sq *= g
+        v += sq
+        denom = np.divide(v, 1.0 - b2**t, out=np.empty_like(v))
+        np.sqrt(denom, out=denom)
+        denom += eps
+        np.divide(m, 1.0 - b1**t, out=step)
+        step *= lr
+        step /= denom
+        p.values -= step
 
 
 def one_cycle_lr(step: int, total_steps: int, lr_max: float,
@@ -131,6 +145,36 @@ def _global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return math.sqrt(total)
 
 
+def _epoch_batches(order: np.ndarray, atoms: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """One epoch's minibatches, in order.
+
+    Batch norm in training mode needs at least two atoms per batch, so a
+    trailing batch of a single one-atom crystal joins the batch before it.
+    """
+    batches = [order[lo : lo + batch_size] for lo in range(0, len(order), batch_size)]
+    if len(batches) > 1 and atoms[batches[-1]].sum() < 2:
+        batches[-2:] = [np.concatenate(batches[-2:])]
+    return batches
+
+
+def _copy_weights(model: Matformer) -> tuple[dict[str, np.ndarray], list[BatchNormState]]:
+    """Copies of the model's parameter values and batch-norm states."""
+    return ({k: p.values.copy() for k, p in model.parameters().items()},
+            [copy.deepcopy(layer.bn_state) for layer in model.layers])
+
+
+def _swap_weights(model: Matformer, weights: tuple[dict[str, np.ndarray], list[BatchNormState]]):
+    """Install ``weights`` in the model and return the ones it held."""
+    values, states = weights
+    held = ({}, [])
+    for k, p in model.parameters().items():
+        held[0][k], p.values = p.values, values[k]
+    for layer, state in zip(model.layers, states):
+        held[1].append(layer.bn_state)
+        layer.bn_state = state
+    return held
+
+
 def evaluate(model: Matformer, prepared: list[PreparedGraph], chunk: int = 64) -> np.ndarray:
     """Eval-mode predictions for a list of prepared graphs."""
     preds = []
@@ -150,9 +194,18 @@ def train(
 
     Records carry ``.crystal`` and ``.target``.  Targets are standardized on
     the training split (metrics are reported in original units).  The best
-    checkpoint by validation MAE is retained.  Fully deterministic for a
-    fixed config seed and model.
+    checkpoint by validation MAE is retained; the model itself ends with the
+    last epoch's weights.  A trailing minibatch of a single one-atom crystal
+    is trained together with the batch before it (see ``_epoch_batches``).
+    Fully deterministic for a fixed config seed and model.
     """
+    atoms = np.array([r.crystal.n_atoms for r in train_records], dtype=int)
+    if atoms.sum() < 2:
+        raise ValueError(
+            f"the training set has {atoms.sum()} atom(s); batch norm needs at least 2 per minibatch"
+        )
+    if config.batch_size == 1 and atoms.min() < 2:
+        raise ValueError("batch_size=1 with a one-atom crystal: batch norm needs at least 2 atoms per minibatch")
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     state = AdamState.create(params)
@@ -177,15 +230,16 @@ def train(
 
     log: list[dict] = []
     best_val = math.inf
-    best_checkpoint = model.to_checkpoint()
-    global_step = 0
+    best_weights = _copy_weights(model)
 
     for epoch in range(config.epochs):
         order = rng.permutation(n_train)
         epoch_losses = []
         lr = 0.0
-        for lo in range(0, n_train, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
+        for b, idx in enumerate(_epoch_batches(order, atoms, config.batch_size)):
+            # a folded remnant leaves its schedule slot unused, so every epoch
+            # spans the same stretch of the one-cycle schedule
+            global_step = epoch * steps_per_epoch + b
             batch = batch_prepared([train_graphs[i] for i in idx])
             target = Tensor(scaled_targets[idx][:, None])
             lr = one_cycle_lr(global_step, total_steps, config.lr_max,
@@ -212,7 +266,6 @@ def train(
                     grads = {k: g * factor for k, g in grads.items()}
             adam_step(params, state, lr, config.betas, config.eps, config.weight_decay, grads)
             epoch_losses.append(loss_value)
-            global_step += 1
 
         val_preds = evaluate(model, val_graphs) * t_std + t_mean
         val_mae = mae(val_preds, val_targets)
@@ -227,7 +280,10 @@ def train(
         log.append(row)
         if val_mae < best_val:
             best_val = val_mae
-            best_checkpoint = model.to_checkpoint()
+            best_weights = _copy_weights(model)
 
+    last_weights = _swap_weights(model, best_weights)
+    best_checkpoint = model.to_checkpoint()
+    _swap_weights(model, last_weights)
     best_checkpoint["target_scale"] = {"mean": t_mean, "std": t_std}
     return TrainResult(log=log, best_checkpoint=best_checkpoint, best_val_mae=best_val)

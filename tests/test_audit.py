@@ -19,7 +19,7 @@ from matformer.audit import (
     tie_crystal,
 )
 from matformer.crystal import crystal_from_frac, shift_boundary, supercell
-from matformer.graphs import build_radius_graph, build_t_fully_connected
+from matformer.graphs import CrystalGraph, Edge, GraphMeta, LatticeImage, build_radius_graph, build_t_fully_connected
 from matformer.synthetic import random_corpus
 
 
@@ -41,6 +41,19 @@ class TestSignatures:
         a = graph_signature(build_radius_graph(cubic(zs=[1])))
         b = graph_signature(build_radius_graph(cubic(zs=[2])))
         assert signature_discrepancy(a, b) == np.inf
+
+    def test_distances_straddling_a_rounding_boundary_agree(self):
+        # 2.0000000005 +/- 1e-15 round to 2.000000001 and 2.0: one rounding
+        # step apart, though the distances differ by 2e-15
+        def one_edge(d):
+            edge = Edge(src=0, dst=0, distance=d, image=LatticeImage((1, 0, 0)))
+            return CrystalGraph(np.array([1]), np.zeros((1, 1)), (edge,), GraphMeta(method="test"))
+
+        hi, lo = one_edge(2.0000000005 + 1e-15), one_edge(2.0000000005 - 1e-15)
+        assert round(hi.edges[0].distance, 9) != round(lo.edges[0].distance, 9)
+        disc = signature_discrepancy(graph_signature(hi), graph_signature(lo))
+        assert disc < 1e-14
+        assert quotient_discrepancy(hi, lo, 1) < 1e-14
 
     def test_detects_scale_difference(self):
         a = graph_signature(build_radius_graph(cubic(a=1.0)))

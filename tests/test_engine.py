@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matformer import engine
 from matformer.engine import (
@@ -111,6 +113,119 @@ class TestBackwardBasics:
         out = engine.tensor_sum(engine.add(w, w))
         backward(out)
         assert np.allclose(w.grad, 2.0)
+
+
+class TestTapeRelease:
+    """backward frees the tape: only leaves keep gradients, one backward per graph."""
+
+    def test_only_leaf_gradients_are_kept(self):
+        w, x = param((3, 4)), param((4, 2))
+        hidden = engine.matmul(w, x)
+        act = engine.sigmoid(hidden)
+        out = engine.mean(act)
+        backward(out)
+        assert w.grad is not None and x.grad is not None
+        for node in (hidden, act, out):
+            assert node.grad is None
+            assert node._parents == ()
+
+    def test_leaf_gradient_does_not_alias_upstream_buffers(self):
+        a, b = param((3,)), param((3,))
+        backward(engine.tensor_sum(engine.add(a, b)))
+        assert a.grad is not b.grad
+        a.grad += 1.0
+        assert np.array_equal(b.grad, np.ones(3))
+
+    def test_second_backward_raises(self):
+        w = param((3,))
+        out = engine.tensor_sum(engine.mul(w, w))
+        backward(out)
+        first = w.grad.copy()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            backward(out)
+        assert np.array_equal(w.grad, first)
+
+    def test_backward_through_a_released_intermediate_raises(self):
+        w = param((3,))
+        hidden = engine.mul(w, w)
+        backward(engine.tensor_sum(hidden))
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            backward(engine.tensor_sum(engine.scale(hidden, 2.0)))
+
+    def test_fresh_forward_after_backward_works(self):
+        w = param((3,))
+        backward(engine.tensor_sum(engine.mul(w, w)))
+        w.zero_grad()
+        backward(engine.tensor_sum(engine.mul(w, w)))
+        assert np.allclose(w.grad, 2.0 * w.values)
+
+
+def _add_at(x, index, num_rows):
+    """The ``np.add.at`` scatter-add the segment sum must reproduce bit for bit."""
+    out = np.zeros((num_rows,) + x.shape[1:])
+    np.add.at(out, index, x)
+    return out
+
+
+@st.composite
+def _segment_cases(draw):
+    num_rows = draw(st.integers(1, 7))
+    n = draw(st.integers(0, 40))
+    index = np.array(draw(st.lists(st.integers(0, num_rows - 1), min_size=n, max_size=n)), dtype=int)
+    if draw(st.booleans()):
+        index = np.sort(index)
+    trailing = draw(st.sampled_from([(), (1,), (3,), (2, 5)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).standard_normal((n,) + trailing) * 10.0 ** draw(st.integers(-3, 3))
+    return x, index, num_rows
+
+
+class TestSegmentSumOracle:
+    """The stable-sort segment sum against ``np.add.at``, compared exactly."""
+
+    @given(_segment_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_scatter_sum_forward(self, case):
+        x, index, num_rows = case
+        out = engine.scatter_sum(Tensor(x), index, num_rows)
+        assert out.values.shape == (num_rows,) + x.shape[1:]
+        assert np.array_equal(out.values, _add_at(x, index, num_rows))
+
+    @given(_segment_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_gather_rows_backward(self, case):
+        g, index, num_rows = case
+        a = Tensor(np.zeros((num_rows,) + g.shape[1:]), requires_grad=True)
+        w = Tensor(g)
+        backward(engine.tensor_sum(engine.mul(engine.gather_rows(a, index), w)))
+        assert np.array_equal(a.grad, _add_at(g, index, num_rows))
+
+    @given(_segment_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_segment_softmax(self, case):
+        x, index, num_rows = case
+        a = Tensor(x, requires_grad=True)
+        w = Tensor(np.cos(np.arange(x.size)).reshape(x.shape))
+        out = segment_softmax(a, index, num_rows)
+
+        seg_max = np.full((num_rows,) + x.shape[1:], -np.inf)
+        np.maximum.at(seg_max, index, x)
+        e = np.exp(x - seg_max[index])
+        s = e / _add_at(e, index, num_rows)[index]
+        assert np.array_equal(out.values, s)
+
+        backward(engine.tensor_sum(engine.mul(out, w)))
+        g = np.broadcast_to(w.values, x.shape)
+        expected = s * (g - _add_at(g * s, index, num_rows)[index])
+        assert np.array_equal(a.grad, 0.0 + expected)
+
+    def test_empty_segments_and_zero_edges(self):
+        x = RNG.standard_normal((3, 2))
+        out = engine.scatter_sum(Tensor(x), np.array([4, 0, 4]), 6)
+        assert np.array_equal(out.values, _add_at(x, np.array([4, 0, 4]), 6))
+        assert np.array_equal(out.values[[1, 2, 3, 5]], np.zeros((4, 2)))
+        none = engine.scatter_sum(Tensor(np.zeros((0, 2))), np.zeros(0, dtype=int), 3)
+        assert np.array_equal(none.values, np.zeros((3, 2)))
 
 
 def _build_op_cases():

@@ -324,6 +324,14 @@ class TestCheckpoint:
         clone = Matformer.from_checkpoint(model.to_checkpoint())
         assert clone.predict(crystal) == base
 
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_wrong_bn_state_count_rejected(self, change):
+        data = Matformer(SMALL, seed=6).to_checkpoint()
+        states = data["bn_states"]
+        data["bn_states"] = states[:change] if change < 0 else states + states[:change]
+        with pytest.raises(ValueError, match="batch-norm states"):
+            Matformer.from_checkpoint(data)
+
 
 class TestGradients:
     def test_small_model_passes_finite_differences(self):

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from matformer.engine import Tensor
 from matformer.io import DatasetRecord
 from matformer.model import Matformer, ModelConfig
-from matformer.synthetic import TARGET_FUNCTIONS, mean_lattice_length, random_corpus
+from matformer.synthetic import TARGET_FUNCTIONS, mean_lattice_length, random_corpus, random_crystal
 from matformer.training import (
     AdamState,
     TrainConfig,
+    _epoch_batches,
     TrainingDivergedError,
     adam_step,
+    evaluate,
     ewt,
     mae,
     one_cycle_lr,
@@ -161,6 +163,72 @@ class TestTrainLoop:
         model = Matformer(TINY_MODEL, seed=2)
         result = train(model, records, records, TrainConfig(epochs=1, batch_size=2, seed=0))
         assert set(result.log[0]) == {"epoch", "lr", "train_loss", "val_mae", "ewt_0.01", "ewt_0.02"}
+
+
+class TestSmallBatches:
+    """Batch norm in training mode needs two atoms per minibatch."""
+
+    @staticmethod
+    def one_atom_records(n, seed=0):
+        rng = np.random.default_rng(seed)
+        crystals = [random_crystal(rng, n_atoms=1) for _ in range(n)]
+        return [DatasetRecord(id=f"c{i}", crystal=c, target=mean_lattice_length(c))
+                for i, c in enumerate(crystals)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_trailing_one_atom_batch_joins_the_previous(self, seed):
+        records = self.one_atom_records(9)
+        config = TrainConfig(epochs=2, batch_size=8, seed=seed)
+        logs = [train(Matformer(TINY_MODEL, seed=0), records, records[:3], config).log for _ in range(2)]
+        assert len(logs[0]) == 2
+        assert all(np.isfinite(row["train_loss"]) for row in logs[0])
+        assert logs[0] == logs[1]
+
+    def test_epoch_batches_fold_only_a_one_atom_remnant(self):
+        order = np.arange(9)
+        one_atom = np.ones(9, dtype=int)
+        assert [len(b) for b in _epoch_batches(order, one_atom, 8)] == [9]
+        two_atoms = one_atom.copy()
+        two_atoms[8] = 2
+        assert [len(b) for b in _epoch_batches(order, two_atoms, 8)] == [8, 1]
+        assert [len(b) for b in _epoch_batches(order, one_atom, 3)] == [3, 3, 3]
+        assert [len(b) for b in _epoch_batches(order[:1], two_atoms[8:], 8)] == [1]
+
+    def test_fewer_than_two_atoms_rejected_up_front(self):
+        records = self.one_atom_records(1)
+        with pytest.raises(ValueError, match="1 atom"):
+            train(Matformer(TINY_MODEL, seed=0), records, records, TrainConfig(epochs=1, batch_size=8))
+
+    def test_batch_size_one_with_one_atom_crystal_rejected_up_front(self):
+        records = self.one_atom_records(3)
+        with pytest.raises(ValueError, match="batch_size=1"):
+            train(Matformer(TINY_MODEL, seed=0), records, records, TrainConfig(epochs=1, batch_size=1))
+
+
+class TestBestCheckpoint:
+    def test_one_epoch_best_is_the_trained_model(self):
+        records = make_records(4, seed=6)
+        model = Matformer(TINY_MODEL, seed=3)
+        result = train(model, records, records, TrainConfig(epochs=1, batch_size=2, seed=0))
+        best = dict(result.best_checkpoint)
+        assert best.pop("target_scale")
+        assert best == model.to_checkpoint()
+
+    def test_checkpoint_holds_best_epoch_and_model_holds_last(self):
+        records = make_records(6, seed=4)
+        model = Matformer(TINY_MODEL, seed=1)
+        result = train(model, records, records, TrainConfig(lr_max=5e-2, epochs=6, batch_size=3, seed=1))
+        maes = [row["val_mae"] for row in result.log]
+        assert maes.index(min(maes)) < len(maes) - 1, "the fixture needs a best epoch before the last"
+        graphs = [model.prepare(r.crystal) for r in records]
+        targets = np.array([r.target for r in records])
+        scale = result.best_checkpoint["target_scale"]
+
+        def val_mae(m):
+            return mae(evaluate(m, graphs) * scale["std"] + scale["mean"], targets)
+
+        assert val_mae(Matformer.from_checkpoint(result.best_checkpoint)) == result.best_val_mae
+        assert val_mae(model) == maes[-1]
 
 
 class TestTargets:
