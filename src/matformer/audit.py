@@ -18,21 +18,21 @@ import numpy as np
 
 from .crystal import Crystal, E3Transform, apply_e3, random_orthogonal, shift_boundary, supercell
 from .graphs import (
+    KIND_ORDER,
     NEIGHBOR,
     CrystalGraph,
     Edge,
     GraphMeta,
     LatticeImage,
-    _image_grid,
-    _mask_zero_self,
     add_self_connecting_edges,
     build_radius_graph,
     build_t_fully_connected,
+    grow_candidates,
+    image_bound,
+    neighbor_candidates,
 )
 
 DEFAULT_ALPHAS = ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2))
-
-_KIND_RANK = {"neighbor": 0, "self_connecting": 1}
 
 GraphBuilder = Callable[[Crystal], CrystalGraph]
 
@@ -51,7 +51,7 @@ def node_signatures(graph: CrystalGraph) -> list[tuple]:
     incoming: list[list[tuple]] = [[] for _ in range(graph.n_nodes)]
     z = graph.node_atomic_numbers
     for e in graph.edges:
-        incoming[e.dst].append((round(e.distance, 9), _KIND_RANK[e.kind], int(z[e.src]), e.distance))
+        incoming[e.dst].append((round(e.distance, 9), KIND_ORDER[e.kind], int(z[e.src]), e.distance))
     return [tuple(sorted(sig)) for sig in incoming]
 
 
@@ -258,25 +258,11 @@ def ocgraph_builder(crystal: Crystal, r: float) -> CrystalGraph:
     the cell boundaries sit: deliberately not periodic invariant.  Edges
     are emitted in both directions (a complete directed graph).
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    frac = crystal.frac_coords
-    n = crystal.n_atoms
-    dist, offs, base = _image_grid(crystal.lattice, frac, frac, r)
-    nodes: list[tuple[int, tuple[int, int, int]]] = []
-    seen = set()
-    for i in range(n):
-        for j in range(n):
-            for p in np.flatnonzero(dist[i, j] <= r):
-                k = tuple(int(v) for v in (offs[p] - base[i, j]))
-                key = (j, k)
-                if key not in seen:
-                    seen.add(key)
-                    nodes.append(key)
-    nodes.sort()
+    _, src, image, _ = neighbor_candidates(crystal, r)
+    in_cell = {(j, (0, 0, 0)) for j in range(crystal.n_atoms)}
+    nodes = sorted(in_cell.union(zip(src.tolist(), map(tuple, image.tolist()))))
     positions = np.array([crystal.positions[j] + np.asarray(k, float) @ crystal.lattice for j, k in nodes])
     z = np.array([crystal.atomic_numbers[j] for j, _ in nodes])
-    feats = np.array([crystal.atom_features[j] for j, _ in nodes])
 
     edges = []
     m = len(nodes)
@@ -287,7 +273,7 @@ def ocgraph_builder(crystal: Crystal, r: float) -> CrystalGraph:
             d = float(np.linalg.norm(positions[b] - positions[a]))
             edges.append(Edge(src=b, dst=a, distance=d, image=LatticeImage((0, 0, 0)), kind=NEIGHBOR))
     meta = GraphMeta(method="ocgraph", radius=float(r))
-    return CrystalGraph(node_atomic_numbers=z, node_features=feats, edges=tuple(edges), meta=meta)
+    return CrystalGraph(node_atomic_numbers=z, edges=tuple(edges), meta=meta)
 
 
 def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int = 0) -> CrystalGraph:
@@ -303,15 +289,7 @@ def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int =
     n = crystal.n_atoms
     frac = crystal.frac_coords
     rng = np.random.default_rng(perturbation_seed)
-    from .graphs import _density_radius, image_bound  # local import to keep the public surface tidy
-
-    r = _density_radius(crystal, k, per_pair=False)
-    while True:
-        dist, offs, base = _image_grid(crystal.lattice, frac, frac, r)
-        dist = _mask_zero_self(dist, np.arange(n), np.arange(n))
-        if (dist.reshape(n, -1) <= r).sum(axis=1).min() >= k:
-            break
-        r *= 1.5
+    r, _ = grow_candidates(crystal, k)
     bound = image_bound(crystal.lattice, r)
 
     edges = []
@@ -322,7 +300,7 @@ def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int =
         # depends on the cell description, which is the whole pitfall
         cand = []
         for j in range(n):
-            centre = base[i, j].astype(int)
+            centre = np.floor(frac[j] - frac[i] + 0.5).astype(int)
             for k1 in range(centre[0] - bound[0] - 1, centre[0] + bound[0] + 2):
                 for k2 in range(centre[1] - bound[1] - 1, centre[1] + bound[1] + 2):
                     for k3 in range(centre[2] - bound[2] - 1, centre[2] + bound[2] + 2):
@@ -340,7 +318,6 @@ def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int =
     meta = GraphMeta(method="knn", neighbor_rank=k, node_radii=tuple(map(float, node_radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        node_features=crystal.atom_features,
         edges=tuple(edges),
         meta=meta,
     )

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import engine, io, synthetic, training
-from .featurize import GraphEmbedding, featurize_graph
-from .graphs import add_self_connecting_edges, build_radius_graph, build_t_fully_connected
+from .featurize import GraphEmbedding, prepare_graph
 from .model import Matformer, ModelConfig
 
 
@@ -39,22 +38,11 @@ def _load_crystals(paths: list[str]) -> list[tuple[str, "object"]]:
     return out
 
 
-def _build_graph(crystal, method: str, rank: int, t: int, self_edges: bool):
-    if method == "radius":
-        g = build_radius_graph(crystal, neighbor_rank=rank)
-    elif method == "tfc":
-        g = build_t_fully_connected(crystal, t=t)
-    else:
-        raise SystemExit(f"unknown method {method!r}")
-    if self_edges:
-        g = add_self_connecting_edges(g, crystal)
-    return g
-
-
 def cmd_build_graph(args) -> int:
     crystals = _load_crystals([args.input])
+    build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
-        graph = _build_graph(crystal, args.method, args.rank, args.t, args.self_edges)
+        graph = build(crystal)
         text = io.graph_to_text(graph) if args.format == "text" else io.graph_to_json(graph)
         if args.out:
             io.atomic_write(args.out, text)
@@ -100,16 +88,16 @@ def cmd_featurize(args) -> int:
     crystals = _load_crystals([args.input])
     rng = np.random.default_rng(args.seed)
     embedding = GraphEmbedding(args.d_model, n_kernels=args.kernels, rng=rng)
+    build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
-        graph = _build_graph(crystal, args.method, args.rank, args.t, args.self_edges)
-        feats = featurize_graph(graph, embedding)
+        prepared = prepare_graph(build(crystal), n_kernels=embedding.n_kernels, lo=embedding.lo, hi=embedding.hi)
         payload = json.dumps(
             {
                 "id": name,
-                "node_input": feats.node_input.values.tolist(),
-                "edge_input": feats.edge_input.values.tolist(),
-                "src": feats.src.tolist(),
-                "dst": feats.dst.tolist(),
+                "node_input": embedding.node_input(prepared).values.tolist(),
+                "edge_input": embedding.edge_input(prepared).values.tolist(),
+                "src": prepared.src.tolist(),
+                "dst": prepared.dst.tolist(),
             }
         )
         if args.out:
@@ -232,9 +220,10 @@ def cmd_bench(args) -> int:
     crystals = synthetic.random_corpus(args.n, seed=args.seed)
     results = []
     for method in ("radius", "tfc"):
+        build = audit_mod.make_builder(method, neighbor_rank=args.rank, t=args.t, self_edges=True)
         start = time.perf_counter()
         for c in crystals:
-            _build_graph(c, method, args.rank, args.t, self_edges=True)
+            build(c)
         elapsed = time.perf_counter() - start
         results.append((method, len(crystals) / elapsed, elapsed))
     print(f"{'method':<10} {'crystals/s':>12} {'total s':>10}")

@@ -1,14 +1,15 @@
 """Periodic crystal data model and the cell transformations it supports.
 
-A crystal is a unit cell described by Cartesian atom positions, per-atom
-features, and a 3x3 lattice matrix whose rows are the repeat vectors.
+A crystal is a unit cell described by atomic numbers, Cartesian atom
+positions, and a 3x3 lattice matrix whose rows are the repeat vectors.
 Positions are stored as given (they may describe a cell anchored away from
 the origin); fractional views are computed on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +50,12 @@ class LatticeImage:
     k: tuple[int, int, int]
 
     def __post_init__(self):
-        k = tuple(int(v) for v in self.k)
+        try:
+            k = tuple(operator.index(v) for v in self.k)
+        except TypeError:
+            k = ()
+        if len(k) != 3:
+            raise ValueError(f"lattice image must be 3 integers, got {self.k!r}")
         object.__setattr__(self, "k", k)
 
     def vector(self, lattice: np.ndarray) -> np.ndarray:
@@ -86,12 +92,11 @@ class E3Transform:
 
 @dataclass(frozen=True)
 class Crystal:
-    """Unit cell: atom features, Cartesian positions (angstrom), lattice rows."""
+    """Unit cell: atomic numbers, Cartesian positions (angstrom), lattice rows."""
 
     atomic_numbers: np.ndarray
     positions: np.ndarray
     lattice: np.ndarray
-    atom_features: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         z = np.array(self.atomic_numbers, dtype=int)
@@ -109,19 +114,11 @@ class Crystal:
             raise ValueError("positions and lattice must be finite")
         if abs(np.linalg.det(lat)) < 1e-12:
             raise ValueError("lattice vectors must be linearly independent")
-        feats = self.atom_features
-        if feats is None:
-            feats = _one_hot_features(z)
-        else:
-            feats = np.array(feats, dtype=float)
-            if feats.ndim != 2 or feats.shape[0] != z.size:
-                raise ValueError("atom_features row count must equal atom count")
-        for arr in (z, p, lat, feats):
+        for arr in (z, p, lat):
             arr.setflags(write=False)
         object.__setattr__(self, "atomic_numbers", z)
         object.__setattr__(self, "positions", p)
         object.__setattr__(self, "lattice", lat)
-        object.__setattr__(self, "atom_features", feats)
 
     @property
     def n_atoms(self) -> int:
@@ -142,15 +139,7 @@ class Crystal:
         return float(abs(np.linalg.det(self.lattice)))
 
 
-def _one_hot_features(atomic_numbers: np.ndarray, dim: int = 119) -> np.ndarray:
-    feats = np.zeros((atomic_numbers.size, dim))
-    feats[np.arange(atomic_numbers.size), atomic_numbers] = 1.0
-    return feats
-
-
-def crystal_from_frac(
-    atomic_numbers, frac_coords, lattice, atom_features=None
-) -> Crystal:
+def crystal_from_frac(atomic_numbers, frac_coords, lattice) -> Crystal:
     """Build a crystal from fractional coordinates (wrapped into the cell)."""
     lattice = np.asarray(lattice, dtype=float)
     frac = wrap_fractional(np.asarray(frac_coords, dtype=float))
@@ -158,7 +147,6 @@ def crystal_from_frac(
         atomic_numbers=np.asarray(atomic_numbers, dtype=int),
         positions=frac_to_cart(frac, lattice),
         lattice=lattice,
-        atom_features=atom_features,
     )
 
 
@@ -182,7 +170,6 @@ def shift_boundary(crystal: Crystal, corner: np.ndarray) -> Crystal:
         atomic_numbers=crystal.atomic_numbers,
         positions=frac_to_cart(new_frac, crystal.lattice),
         lattice=crystal.lattice,
-        atom_features=crystal.atom_features,
     )
 
 
@@ -211,7 +198,6 @@ def supercell(crystal: Crystal, alpha: tuple[int, int, int]) -> Crystal:
         atomic_numbers=np.tile(crystal.atomic_numbers, n_cells),
         positions=positions,
         lattice=new_lattice,
-        atom_features=np.tile(crystal.atom_features, (n_cells, 1)),
     )
 
 
@@ -223,7 +209,6 @@ def apply_e3(crystal: Crystal, transform: E3Transform) -> Crystal:
         atomic_numbers=crystal.atomic_numbers,
         positions=crystal.positions @ q.T + b,
         lattice=crystal.lattice @ q.T,
-        atom_features=crystal.atom_features,
     )
 
 

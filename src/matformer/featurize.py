@@ -155,28 +155,3 @@ class GraphEmbedding:
         act = engine.ACTIVATIONS[self.activation]
         h = act(engine.linear(Tensor(prepared.edge_rbf), self.edge_w1, self.edge_b1))
         return engine.linear(h, self.edge_w2, self.edge_b2)
-
-
-@dataclass
-class FeaturizedGraph:
-    """Model-ready inputs: embedded nodes/edges plus adjacency arrays."""
-
-    node_input: Tensor                # (n, d_model)
-    edge_input: Tensor                # (E, d_model)
-    src: np.ndarray
-    dst: np.ndarray
-    graph_ids: np.ndarray
-    n_graphs: int
-
-
-def featurize_graph(graph: CrystalGraph, params: GraphEmbedding) -> FeaturizedGraph:
-    """Embed a crystal graph with the given weights; deterministic."""
-    prepared = prepare_graph(graph, n_kernels=params.n_kernels, lo=params.lo, hi=params.hi)
-    return FeaturizedGraph(
-        node_input=params.node_input(prepared),
-        edge_input=params.edge_input(prepared),
-        src=prepared.src,
-        dst=prepared.dst,
-        graph_ids=prepared.graph_ids,
-        n_graphs=1,
-    )

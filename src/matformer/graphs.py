@@ -9,6 +9,8 @@ Two invariant constructions are provided: an adaptive-radius multi-edge
 graph (per-node cutoff at the 12th-smallest image distance by default) and a
 t-fully-connected graph keeping the t smallest image distances per ordered
 node pair.  Six self-connecting edges per node encode the lattice shape.
+Every construction selects from one candidate search,
+``neighbor_candidates``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ DIST_TOL = 1e-9
 # Images of the same atom whose distances encode the lattice shape.
 SELF_EDGE_IMAGES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
-_KIND_ORDER = {NEIGHBOR: 0, SELF_CONNECTING: 1}
+KIND_ORDER = {NEIGHBOR: 0, SELF_CONNECTING: 1}
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class GraphMeta:
 @dataclass(frozen=True)
 class CrystalGraph:
     node_atomic_numbers: np.ndarray
-    node_features: np.ndarray
     edges: tuple[Edge, ...]
     meta: GraphMeta
 
@@ -75,7 +76,7 @@ class CrystalGraph:
 
 
 def _edge_sort_key(e: Edge):
-    return (e.dst, e.src, _KIND_ORDER[e.kind], e.distance, e.image.k)
+    return (e.dst, e.src, KIND_ORDER[e.kind], e.distance, e.image.k)
 
 
 def interplanar_spacings(lattice: np.ndarray) -> np.ndarray:
@@ -102,37 +103,46 @@ def image_bound(lattice: np.ndarray, r: float) -> tuple[int, int, int]:
     return tuple(int(math.ceil(r / d)) for d in spacings)
 
 
-def _offset_grid(bound: tuple[int, int, int]) -> np.ndarray:
-    axes = [np.arange(-(k + 1), k + 2) for k in bound]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return grid.reshape(-1, 3)
+# Budget for the float64 image grid of one ``neighbor_candidates`` call.
+# Computing the distances takes about three times the grid at peak, so a
+# larger grid would exhaust a desk machine instead of failing.
+MAX_GRID_BYTES = 1 << 30
 
 
-def _image_grid(lattice, frac_dst, frac_src, r):
-    """Image distances from every src atom to every dst atom.
+def neighbor_candidates(crystal: Crystal, r: float, dst=None, src=None):
+    """Every image of a ``src`` atom within ``r`` of a ``dst`` atom.
+
+    ``dst`` and ``src`` are atom index lists (default: all atoms).  Returns
+    flat arrays ``(dst, src, image, distance)`` in (dst, src, grid) order,
+    where ``image`` (E, 3) is the integer lattice offset of the source image.
+    The zero self pair (an atom with itself at zero offset) is left out.
 
     Enumerates a box guaranteed to contain all images within ``r``.  Works
     for arbitrary (unwrapped) fractional coordinates: a per-pair integer
-    base offset recenters the difference vector before scanning.
-
-    Returns ``(dist, offs, base)`` where ``dist[a, b, p]`` is the distance
-    from image p of src atom b to dst atom a and the true lattice image
-    index is ``offs[p] - base[a, b]``.
+    base offset recenters the difference vector before scanning.  Raises
+    ``ValueError`` before allocating when the box exceeds ``MAX_GRID_BYTES``.
     """
-    diff = frac_src[None, :, :] - frac_dst[:, None, :]  # f_src - f_dst
+    n = crystal.n_atoms
+    dst = np.arange(n) if dst is None else np.asarray(dst, dtype=int)
+    src = np.arange(n) if src is None else np.asarray(src, dtype=int)
+    axes = [np.arange(-(k + 1), k + 2) for k in image_bound(crystal.lattice, r)]
+    offs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid_bytes = dst.size * src.size * offs.shape[0] * 3 * 8
+    if grid_bytes > MAX_GRID_BYTES:
+        raise ValueError(
+            f"neighbor search over {n} atoms at r={r:.3f} would need a {grid_bytes / 2**20:.0f} MiB "
+            f"image grid (limit {MAX_GRID_BYTES / 2**20:.0f} MiB)"
+        )
+    frac = crystal.frac_coords
+    diff = frac[src][None, :, :] - frac[dst][:, None, :]  # f_src - f_dst
     base = np.floor(diff + 0.5)
     recentred = diff - base
-    offs = _offset_grid(image_bound(lattice, r))
-    vecs = (recentred[:, :, None, :] + offs[None, None, :, :]) @ lattice
+    vecs = (recentred[:, :, None, :] + offs[None, None, :, :]) @ crystal.lattice
     dist = np.linalg.norm(vecs, axis=-1)
-    return dist, offs, base
-
-
-def _mask_zero_self(dist, dst_index, src_indices):
-    """Replace the zero self-pair (same atom, zero offset) with +inf."""
-    same = np.asarray(src_indices)[None, :] == np.asarray(dst_index)[:, None]
-    zero = dist < 1e-12
-    return np.where(same[:, :, None] & zero, np.inf, dist)
+    zero_self = (src[None, :] == dst[:, None])[:, :, None] & (dist < 1e-12)
+    a, b, p = np.nonzero((dist <= r) & ~zero_self)
+    image = (offs[p] - base[a, b]).astype(int)
+    return dst[a], src[b], image, dist[a, b, p]
 
 
 def _density_radius(crystal: Crystal, images_needed: int, per_pair: bool) -> float:
@@ -141,6 +151,44 @@ def _density_radius(crystal: Crystal, images_needed: int, per_pair: bool) -> flo
     n = 1 if per_pair else crystal.n_atoms
     r = (3.0 * max(images_needed, 1) * vol / (4.0 * math.pi * n)) ** (1.0 / 3.0)
     return 1.3 * r
+
+
+def grow_candidates(crystal: Crystal, need: int, per_pair: bool = False, dst=None, src=None):
+    """``(r, neighbor_candidates(crystal, r, dst, src))`` at the first radius
+    where each destination (each ordered pair when ``per_pair``) has at least
+    ``need`` candidates, growing 1.5x from a uniform-density guess."""
+    n = crystal.n_atoms
+    dst = np.arange(n) if dst is None else np.asarray(dst, dtype=int)
+    src = np.arange(n) if src is None else np.asarray(src, dtype=int)
+    r = _density_radius(crystal, need, per_pair)
+    while True:
+        cand = neighbor_candidates(crystal, r, dst, src)
+        counts = np.bincount(cand[0] * n + cand[1], minlength=n * n).reshape(n, n)[np.ix_(dst, src)]
+        if (counts if per_pair else counts.sum(axis=1)).min() >= need:
+            return r, cand
+        r *= 1.5
+
+
+def _rank_in_group(keys: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal (sorted) keys."""
+    return np.arange(keys.size) - np.searchsorted(keys, keys)
+
+
+def _rank_distances(dst: np.ndarray, dist: np.ndarray, rank: int) -> np.ndarray:
+    """Rank-th smallest candidate distance of each destination, in dst order."""
+    order = np.lexsort((dist, dst))
+    return dist[order][_rank_in_group(dst[order]) == rank - 1]
+
+
+def _neighbor_edges(dst, src, image, dist) -> tuple[Edge, ...]:
+    """Neighbor edges from candidate columns, in canonical edge order."""
+    order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dist, src, dst))
+    return tuple(
+        Edge(src=s, dst=d, distance=x, image=LatticeImage(k))
+        for d, s, x, k in zip(
+            dst[order].tolist(), src[order].tolist(), dist[order].tolist(), image[order].tolist()
+        )
+    )
 
 
 def image_distances(
@@ -161,29 +209,12 @@ def image_distances(
     n = crystal.n_atoms
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"node indices ({i}, {j}) out of range for {n} atoms")
-    frac = crystal.frac_coords
-    fd, fs = frac[[i]], frac[[j]]
-
     if radius is not None:
-        dist, offs, base = _image_grid(crystal.lattice, fd, fs, radius)
-        dist = _mask_zero_self(dist, [i], [j])[0, 0]
-        keep = np.flatnonzero(dist <= radius)
+        _, _, image, dist = neighbor_candidates(crystal, radius, [i], [j])
     else:
-        r = _density_radius(crystal, count, per_pair=True)
-        while True:
-            dist, offs, base = _image_grid(crystal.lattice, fd, fs, r)
-            dist = _mask_zero_self(dist, [i], [j])[0, 0]
-            if np.count_nonzero(dist <= r) >= count:
-                break
-            r *= 1.5
-        keep = np.flatnonzero(dist <= r)
-
-    kvecs = (offs[keep] - base[0, 0]).astype(int)
-    dvals = dist[keep]
-    order = np.lexsort((kvecs[:, 2], kvecs[:, 1], kvecs[:, 0], dvals))
-    if count is not None:
-        order = order[:count]
-    return [(float(dvals[p]), LatticeImage(tuple(kvecs[p]))) for p in order]
+        _, (_, _, image, dist) = grow_candidates(crystal, count, per_pair=True, dst=[i], src=[j])
+    order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dist))[:count]
+    return [(float(dist[p]), LatticeImage(tuple(image[p]))) for p in order]
 
 
 def adaptive_radius(crystal: Crystal, i: int, rank: int = 12) -> float:
@@ -194,15 +225,8 @@ def adaptive_radius(crystal: Crystal, i: int, rank: int = 12) -> float:
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    frac = crystal.frac_coords
-    r = _density_radius(crystal, rank, per_pair=False)
-    while True:
-        dist, _, _ = _image_grid(crystal.lattice, frac[[i]], frac, r)
-        dist = _mask_zero_self(dist, [i], np.arange(crystal.n_atoms))
-        flat = dist.ravel()
-        if np.count_nonzero(flat <= r) >= rank:
-            return float(np.partition(flat, rank - 1)[rank - 1])
-        r *= 1.5
+    _, (dst, _, _, dist) = grow_candidates(crystal, rank, dst=[i])
+    return float(_rank_distances(dst, dist, rank)[0])
 
 
 def build_radius_graph(crystal: Crystal, neighbor_rank: int = 12) -> CrystalGraph:
@@ -213,39 +237,18 @@ def build_radius_graph(crystal: Crystal, neighbor_rank: int = 12) -> CrystalGrap
     boundary (with the shared distance tolerance), so the image defining
     the radius is itself an edge and every node has >= neighbor_rank edges.
     """
-    n = crystal.n_atoms
-    frac = crystal.frac_coords
-    r = _density_radius(crystal, neighbor_rank, per_pair=False)
-    while True:
-        dist, offs, base = _image_grid(crystal.lattice, frac, frac, r)
-        dist = _mask_zero_self(dist, np.arange(n), np.arange(n))
-        counts = (dist.reshape(n, -1) <= r).sum(axis=1)
-        if counts.min() >= neighbor_rank:
-            break
-        r *= 1.5
-    flat = dist.reshape(n, -1)
-    radii = np.partition(flat, neighbor_rank - 1, axis=1)[:, neighbor_rank - 1]
+    r, cand = grow_candidates(crystal, neighbor_rank)
+    radii = _rank_distances(cand[0], cand[3], neighbor_rank)
     if radii.max() + DIST_TOL > r:
         # edge selection extends DIST_TOL past the largest radius; re-enumerate
         # so the box provably covers it
-        r = radii.max() + 1e-6
-        dist, offs, base = _image_grid(crystal.lattice, frac, frac, r)
-        dist = _mask_zero_self(dist, np.arange(n), np.arange(n))
-
-    edges = []
-    for i in range(n):
-        keep_j, keep_p = np.nonzero(dist[i] <= radii[i] + DIST_TOL)
-        kvecs = (offs[keep_p] - base[i, keep_j]).astype(int)
-        for j, p, k in zip(keep_j, keep_p, kvecs):
-            edges.append(
-                Edge(src=int(j), dst=i, distance=float(dist[i, j, p]), image=LatticeImage(tuple(k)))
-            )
-    edges.sort(key=_edge_sort_key)
+        cand = neighbor_candidates(crystal, radii.max() + 1e-6)
+    dst, src, image, dist = cand
+    keep = dist <= radii[dst] + DIST_TOL
     meta = GraphMeta(method="radius", neighbor_rank=neighbor_rank, node_radii=tuple(map(float, radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        node_features=crystal.atom_features,
-        edges=tuple(edges),
+        edges=_neighbor_edges(dst[keep], src[keep], image[keep], dist[keep]),
         meta=meta,
     )
 
@@ -260,41 +263,16 @@ def build_t_fully_connected(crystal: Crystal, t: int = 3) -> CrystalGraph:
     if t < 1:
         raise ValueError("t must be >= 1")
     n = crystal.n_atoms
-    frac = crystal.frac_coords
-    r = _density_radius(crystal, t, per_pair=True)
-    while True:
-        dist, offs, base = _image_grid(crystal.lattice, frac, frac, r)
-        dist = _mask_zero_self(dist, np.arange(n), np.arange(n))
-        counts = (dist <= r).sum(axis=2)
-        if counts.min() >= t:
-            break
-        r *= 1.5
-
-    edges = []
-    node_radii = np.zeros(n)
-    for i in range(n):
-        for j in range(n):
-            d = dist[i, j]
-            keep = np.flatnonzero(d <= r)
-            kvecs = (offs[keep] - base[i, j]).astype(int)
-            order = np.lexsort((kvecs[:, 2], kvecs[:, 1], kvecs[:, 0], d[keep]))[:t]
-            for p in order:
-                edges.append(
-                    Edge(
-                        src=j,
-                        dst=i,
-                        distance=float(d[keep[p]]),
-                        image=LatticeImage(tuple(kvecs[p])),
-                    )
-                )
-            if i == j:
-                node_radii[i] = d[keep[order]].max()
-    edges.sort(key=_edge_sort_key)
+    _, (dst, src, image, dist) = grow_candidates(crystal, t, per_pair=True)
+    order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dist, src, dst))
+    keep = order[_rank_in_group(dst[order] * n + src[order]) < t]
+    dst, src, image, dist = dst[keep], src[keep], image[keep], dist[keep]
+    # kept distances ascend within each pair, so a self pair's last is its largest
+    node_radii = dist[(dst == src) & (np.arange(dist.size) % t == t - 1)]
     meta = GraphMeta(method="t_fully_connected", t=t, node_radii=tuple(map(float, node_radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        node_features=crystal.atom_features,
-        edges=tuple(edges),
+        edges=_neighbor_edges(dst, src, image, dist),
         meta=meta,
     )
 
@@ -331,7 +309,6 @@ def add_self_connecting_edges(graph: CrystalGraph, crystal: Crystal) -> CrystalG
     new_edges.sort(key=_edge_sort_key)
     return CrystalGraph(
         node_atomic_numbers=graph.node_atomic_numbers,
-        node_features=graph.node_features,
         edges=tuple(new_edges),
         meta=replace(graph.meta, self_edges=True),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crystal import Crystal, crystal_from_frac, wrap_fractional
-from .graphs import Edge, GraphMeta, CrystalGraph, LatticeImage
+from .graphs import KIND_ORDER, CrystalGraph, Edge, GraphMeta, LatticeImage
 
 ELEMENTS = (
     "H", "He", "Li", "Be", "B", "C", "N", "O", "F", "Ne",
@@ -202,23 +202,35 @@ def graph_to_dict(graph: CrystalGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> CrystalGraph:
+    for key in ("meta", "nodes", "edges"):
+        if key not in data:
+            raise ValueError(f"graph JSON missing field {key!r}")
     meta = data["meta"]
-    z = np.array([n["atomic_number"] for n in data["nodes"]], dtype=int)
-    edges = tuple(
-        Edge(
-            src=int(e["src"]),
-            dst=int(e["dst"]),
-            distance=float(e["distance"]),
-            image=LatticeImage(tuple(e["image"])),
-            kind=e["kind"],
-        )
-        for e in data["edges"]
-    )
+    if "method" not in meta:
+        raise ValueError("graph JSON meta missing field 'method'")
+    try:
+        z = np.array([n["atomic_number"] for n in data["nodes"]], dtype=int)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("graph JSON nodes need an integer 'atomic_number' each") from None
+    edges = []
+    for idx, e in enumerate(data["edges"]):
+        try:
+            src, dst, kind = int(e["src"]), int(e["dst"]), e["kind"]
+            if kind not in KIND_ORDER:
+                raise ValueError(f"unknown kind {kind!r}")
+            if not (0 <= src < z.size and 0 <= dst < z.size):
+                raise ValueError(f"node index out of range for {z.size} nodes")
+            edges.append(
+                Edge(src=src, dst=dst, distance=float(e["distance"]), image=LatticeImage(e["image"]), kind=kind)
+            )
+        except KeyError as err:
+            raise ValueError(f"graph JSON edge {idx}: missing field {err}") from None
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"graph JSON edge {idx}: {err}") from None
     node_radii = meta.get("node_radii")
     return CrystalGraph(
         node_atomic_numbers=z,
-        node_features=np.zeros((z.size, 0)),
-        edges=edges,
+        edges=tuple(edges),
         meta=GraphMeta(
             method=meta["method"],
             neighbor_rank=meta.get("neighbor_rank"),

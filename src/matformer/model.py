@@ -25,7 +25,7 @@ import numpy as np
 from . import engine, graphs
 from .crystal import Crystal
 from .engine import BatchNormState, Tensor
-from .featurize import FeaturizedGraph, GraphEmbedding, PreparedGraph, prepare_graph
+from .featurize import GraphEmbedding, PreparedGraph, prepare_graph
 
 ATTENTION_VARIANTS = ("sigmoid_norm", "softmax_scalar", "softmax_vector")
 
@@ -179,16 +179,6 @@ class MatformerLayer:
         return engine.add(engine.linear(node_feats, self.fea_w, self.fea_b), act(normed))
 
 
-def layer_forward(node_feats: Tensor, edge_feats: Tensor, src, dst,
-                  layer: MatformerLayer, training: bool = False,
-                  variant: str | None = None) -> Tensor:
-    """One message-passing step; requires every node to have an edge."""
-    counts = np.bincount(np.asarray(dst, dtype=int), minlength=node_feats.shape[0])
-    if counts.min() == 0:
-        raise ValueError("isolated node: aggregation over an empty neighborhood is undefined")
-    return layer.forward(node_feats, edge_feats, src, dst, training, variant)
-
-
 class Matformer:
     """Full model: embeddings, stacked layers, mean pooling, readout MLP."""
 
@@ -252,16 +242,6 @@ class Matformer:
         hidden = act(engine.linear(pooled, self.readout_w1, self.readout_b1))
         return engine.linear(hidden, self.readout_w2, self.readout_b2)
 
-    def forward_features(self, fgraph: FeaturizedGraph, training: bool = False) -> Tensor:
-        """Forward pass from already-embedded features."""
-        node, edge = fgraph.node_input, fgraph.edge_input
-        for layer in self.layers:
-            node = layer.forward(node, edge, fgraph.src, fgraph.dst, training)
-        pooled = engine.segment_mean(node, fgraph.graph_ids, fgraph.n_graphs)
-        act = engine.ACTIVATIONS[self.config.activation]
-        hidden = act(engine.linear(pooled, self.readout_w1, self.readout_b1))
-        return engine.linear(hidden, self.readout_w2, self.readout_b2)
-
     def predict(self, crystal: Crystal) -> float:
         out = self.forward(self.prepare(crystal), training=False)
         return float(out.values[0, 0])
@@ -284,8 +264,3 @@ class Matformer:
         for layer, state in zip(model.layers, data["bn_states"]):
             layer.bn_state = BatchNormState.from_dict(state)
         return model
-
-
-def model_forward(model: Matformer, prepared: PreparedGraph, training: bool = False) -> np.ndarray:
-    """Per-graph predictions as a plain array."""
-    return model.forward(prepared, training=training).values[:, 0].copy()

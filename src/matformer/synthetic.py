@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .crystal import Crystal, crystal_from_frac
-from .graphs import _image_grid, _mask_zero_self
+from .graphs import neighbor_candidates
 
 
 def lattice_from_parameters(a: float, b: float, c: float,
@@ -54,16 +54,10 @@ def random_lattice(rng: np.random.Generator,
 
 def min_image_distance(crystal: Crystal) -> float:
     """Smallest distance between any two atom images (excluding self-zero)."""
-    frac = crystal.frac_coords
-    n = crystal.n_atoms
+    # every atom has its own images at the lattice vectors, so this radius
+    # holds at least one candidate and the smallest distance overall
     r = float(np.linalg.norm(crystal.lattice, axis=1).max())
-    while True:
-        dist, _, _ = _image_grid(crystal.lattice, frac, frac, r)
-        dist = _mask_zero_self(dist, np.arange(n), np.arange(n))
-        m = float(dist.min())
-        if m <= r:
-            return m
-        r *= 2.0
+    return float(neighbor_candidates(crystal, r)[3].min())
 
 
 def random_crystal(rng: np.random.Generator,

@@ -47,7 +47,7 @@ class TestSignatures:
         # step apart, though the distances differ by 2e-15
         def one_edge(d):
             edge = Edge(src=0, dst=0, distance=d, image=LatticeImage((1, 0, 0)))
-            return CrystalGraph(np.array([1]), np.zeros((1, 1)), (edge,), GraphMeta(method="test"))
+            return CrystalGraph(np.array([1]), (edge,), GraphMeta(method="test"))
 
         hi, lo = one_edge(2.0000000005 + 1e-15), one_edge(2.0000000005 - 1e-15)
         assert round(hi.edges[0].distance, 9) != round(lo.edges[0].distance, 9)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from matformer.crystal import (
     Crystal,
     E3Transform,
+    LatticeImage,
     apply_e3,
     cart_to_frac,
     crystal_from_frac,
@@ -86,15 +87,21 @@ class TestCrystalValidation:
         with pytest.raises(ValueError):
             Crystal(np.array([119]), np.zeros((1, 3)), np.eye(3))
 
-    def test_rejects_feature_mismatch(self):
-        with pytest.raises(ValueError, match="row count"):
-            Crystal(np.array([1]), np.zeros((1, 3)), np.eye(3), atom_features=np.zeros((2, 4)))
-
     def test_wrapped_frac_in_unit_box(self):
         c = cubic_crystal(fracs=[[0.25, 0.5, 0.75]])
         moved = shift_boundary(c, np.array([0.6, 0.6, 0.6]))
         w = moved.wrapped_frac_coords
         assert np.all(w >= 0.0) and np.all(w < 1.0)
+
+
+class TestLatticeImage:
+    def test_accepts_three_integers(self):
+        assert LatticeImage([1, np.int64(-2), 0]).k == (1, -2, 0)
+
+    @pytest.mark.parametrize("k", [(1, 0), (1, 0, 0, 0), (1.0, 0, 0), ("1", 0, 0), 3])
+    def test_rejects_anything_else(self, k):
+        with pytest.raises(ValueError, match="3 integers"):
+            LatticeImage(k)
 
 
 class TestE3Transform:

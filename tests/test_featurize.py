@@ -6,7 +6,6 @@ from matformer.featurize import (
     GraphEmbedding,
     batch_prepared,
     embed_atom,
-    featurize_graph,
     one_hot_atoms,
     prepare_graph,
     rbf_expand,
@@ -19,6 +18,12 @@ def cubic(a=1.0, fracs=((0, 0, 0),), zs=None):
     fracs = np.atleast_2d(fracs)
     zs = zs if zs is not None else [1] * len(fracs)
     return crystal_from_frac(zs, fracs, a * np.eye(3))
+
+
+def embed(graph, emb):
+    """Node and edge inputs of a graph under the embedding's weights."""
+    prepared = prepare_graph(graph, n_kernels=emb.n_kernels, lo=emb.lo, hi=emb.hi)
+    return emb.node_input(prepared).values, emb.edge_input(prepared).values
 
 
 class TestRbfExpand:
@@ -98,42 +103,42 @@ class TestFeaturizeGraph:
         emb = GraphEmbedding(d_model=8, n_kernels=8)
         for t in emb.parameters().values():
             t.values = np.zeros_like(t.values)
-        out = featurize_graph(graph, emb)
-        assert not out.node_input.values.any()
-        assert not out.edge_input.values.any()
+        node_input, edge_input = embed(graph, emb)
+        assert not node_input.any()
+        assert not edge_input.any()
 
     def test_equal_distances_share_features(self):
         graph = build_radius_graph(cubic())
         emb = GraphEmbedding(d_model=8, n_kernels=8, rng=np.random.default_rng(1))
-        out = featurize_graph(graph, emb)
+        _, edge_input = embed(graph, emb)
         d = np.array([e.distance for e in graph.edges])
-        first_shell = out.edge_input.values[np.isclose(d, 1.0)]
+        first_shell = edge_input[np.isclose(d, 1.0)]
         assert np.allclose(first_shell, first_shell[0])
 
     def test_shift_preserves_feature_multiset(self):
         rng = np.random.default_rng(2)
         crystal = random_crystal(rng, n_atoms=2)
         emb = GraphEmbedding(d_model=4, n_kernels=8, rng=np.random.default_rng(3))
-        a = featurize_graph(build_radius_graph(crystal), emb).edge_input.values
+        a = embed(build_radius_graph(crystal), emb)[1]
         moved = shift_boundary(crystal, rng.uniform(-2, 2, 3))
-        b = featurize_graph(build_radius_graph(moved), emb).edge_input.values
+        b = embed(build_radius_graph(moved), emb)[1]
         order = lambda m: m[np.lexsort(m.T)]
         assert np.allclose(order(a), order(b), atol=1e-9)
 
     def test_deterministic(self):
         graph = build_radius_graph(cubic())
         emb = GraphEmbedding(d_model=8, n_kernels=8, rng=np.random.default_rng(4))
-        a = featurize_graph(graph, emb).edge_input.values
-        b = featurize_graph(graph, emb).edge_input.values
+        a = embed(graph, emb)[1]
+        b = embed(graph, emb)[1]
         assert np.array_equal(a, b)
 
     def test_no_non_finite_values(self):
         rng = np.random.default_rng(5)
         crystal = random_crystal(rng, n_atoms=3)
         emb = GraphEmbedding(d_model=16, n_kernels=16, rng=rng)
-        out = featurize_graph(build_radius_graph(crystal), emb)
-        assert np.isfinite(out.node_input.values).all()
-        assert np.isfinite(out.edge_input.values).all()
+        node_input, edge_input = embed(build_radius_graph(crystal), emb)
+        assert np.isfinite(node_input).all()
+        assert np.isfinite(edge_input).all()
 
 
 class TestBatching:

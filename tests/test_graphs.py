@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from matformer.crystal import crystal_from_frac, shift_boundary, supercell
 from matformer.graphs import (
@@ -15,9 +18,10 @@ from matformer.graphs import (
     image_distances,
     interplanar_spacings,
     lattice_gram_from_six,
+    neighbor_candidates,
     self_connecting_distances,
 )
-from matformer.synthetic import random_crystal
+from matformer.synthetic import lattice_from_parameters, random_crystal
 from oracles import brute_adaptive_radius, brute_image_distances, brute_radius_edges
 
 HEX_LATTICE = np.array([[1.0, 0.0, 0.0], [-0.5, np.sqrt(3) / 2, 0.0], [0.0, 0.0, 2.0]])
@@ -60,6 +64,73 @@ class TestImageBound:
 
     def test_spacings_cubic(self):
         assert np.allclose(interplanar_spacings(2.0 * np.eye(3)), [2.0, 2.0, 2.0])
+
+
+@st.composite
+def triclinic_cases(draw):
+    """A 1-3 atom cell with mixed 2-8 A lengths and angles often near 60 or
+    120 deg, described from a random corner (unwrapped positions), and a
+    radius of up to 2.5 interplanar spacings."""
+    angle = st.one_of(st.floats(60.0, 62.0), st.floats(118.0, 120.0), st.floats(60.0, 120.0))
+    lengths = [draw(st.floats(2.0, 8.0)) for _ in range(3)]
+    angles = [draw(angle) for _ in range(3)]
+    try:
+        lattice = lattice_from_parameters(*lengths, *angles)
+    except ValueError:
+        assume(False)
+    assume(abs(np.linalg.det(lattice)) >= 0.1 * np.prod(lengths))
+    n = draw(st.integers(1, 3))
+    frac = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3 * n, max_size=3 * n)))
+    crystal = crystal_from_frac([1] * n, frac.reshape(n, 3), lattice)
+    corner = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(3)]) @ lattice
+    r = draw(st.floats(0.3, 2.5)) * interplanar_spacings(lattice).min()
+    return shift_boundary(crystal, corner), r
+
+
+class TestNeighborCandidates:
+    @given(triclinic_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_oracle(self, case):
+        crystal, r = case
+        dst, src, image, dist = neighbor_candidates(crystal, r)
+        got = {(a, b, tuple(k)): d for a, b, k, d in zip(dst.tolist(), src.tolist(), image.tolist(), dist)}
+        kmax = max(image_bound(crystal.lattice, r)) + 2
+        want = {
+            (i, j, k): d
+            for i, j in itertools.product(range(crystal.n_atoms), repeat=2)
+            for d, k in brute_image_distances(crystal, i, j, kmax)
+            if d <= r
+        }
+        # inclusion of a distance within rounding of r may differ either way
+        clear = lambda found: {key for key, d in found.items() if abs(d - r) > 1e-9}
+        assert clear(got) == clear(want)
+        assert all(abs(got[key] - want[key]) < 1e-9 for key in got.keys() & want.keys())
+
+    @given(triclinic_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_distances_do_not_depend_on_box_or_subset(self, case):
+        crystal, r = case
+        full = neighbor_candidates(crystal, r)
+        wide = neighbor_candidates(crystal, 1.7 * r)
+        inside = wide[3] <= r
+        for a, b in zip(full, wide):
+            assert np.array_equal(a, b[inside])
+        i, j = crystal.n_atoms - 1, 0
+        pair = (full[0] == i) & (full[1] == j)
+        for a, b in zip(neighbor_candidates(crystal, r, [i], [j]), full):
+            assert np.array_equal(a, b[pair])
+
+    def test_large_cell_raises_before_allocating(self):
+        base = crystal_from_frac([6, 8, 8], [[0, 0, 0], [0.3, 0.3, 0.3], [0.6, 0.7, 0.2]], 2.5 * np.eye(3))
+        big = supercell(base, (7, 7, 7))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"1029 atoms at r=.* MiB image grid"):
+                build_radius_graph(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestImageDistances:

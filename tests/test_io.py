@@ -150,6 +150,39 @@ class TestGraphSerialization:
         assert back.meta.method == "radius"
         assert back.meta.node_radii == graph.meta.node_radii
 
+    def test_rejects_image_of_two_components(self):
+        data = json.loads(io.graph_to_json(self._graph()[0]))
+        data["edges"][3]["image"] = [1, 0]
+        with pytest.raises(ValueError, match=r"edge 3: lattice image must be 3 integers"):
+            io.graph_from_dict(data)
+
+    def test_rejects_unknown_edge_kind(self):
+        data = json.loads(io.graph_to_json(self._graph()[0]))
+        data["edges"][5]["kind"] = "bogus"
+        with pytest.raises(ValueError, match=r"edge 5: unknown kind 'bogus'"):
+            io.graph_from_dict(data)
+
+    def test_rejects_edge_to_missing_node(self):
+        data = json.loads(io.graph_to_json(self._graph()[0]))
+        data["edges"][2]["dst"] = len(data["nodes"])
+        with pytest.raises(ValueError, match=r"edge 2: node index out of range"):
+            io.graph_from_dict(data)
+
+    def test_rejects_node_without_atomic_number(self):
+        data = json.loads(io.graph_to_json(self._graph()[0]))
+        del data["nodes"][0]["atomic_number"]
+        with pytest.raises(ValueError, match="atomic_number"):
+            io.graph_from_dict(data)
+
+    def test_rejects_missing_meta(self):
+        data = json.loads(io.graph_to_json(self._graph()[0]))
+        del data["meta"]["method"]
+        with pytest.raises(ValueError, match="meta missing field 'method'"):
+            io.graph_from_dict(data)
+        del data["meta"]
+        with pytest.raises(ValueError, match="missing field 'meta'"):
+            io.graph_from_dict(data)
+
     def test_text_format_shape(self):
         graph, _ = self._graph()
         text = io.graph_to_text(graph)

@@ -5,7 +5,7 @@ from matformer import engine
 from matformer.crystal import E3Transform, apply_e3, crystal_from_frac, random_orthogonal, shift_boundary, supercell
 from matformer.engine import Tensor, backward, finite_difference_gradients, max_relative_error
 from matformer.featurize import batch_prepared
-from matformer.model import Matformer, MatformerLayer, ModelConfig, attention_gate, layer_forward
+from matformer.model import Matformer, MatformerLayer, ModelConfig, attention_gate
 from matformer.synthetic import random_crystal
 
 SMALL = ModelConfig(n_layers=2, n_heads=2, d_model=8, rbf_kernels=8, readout_hidden=8)
@@ -300,16 +300,6 @@ class TestErrors:
         prepared.dst = np.where(prepared.dst == 1, 0, prepared.dst)  # orphan node 1
         with pytest.raises(ValueError, match="isolated"):
             model.forward(prepared)
-
-    def test_layer_forward_surface_checks_isolation(self):
-        model = Matformer(SMALL, seed=0)
-        prepared = model.prepare(cubic())
-        node = model.embedding.node_input(prepared)
-        edge = model.embedding.edge_input(prepared)
-        out = layer_forward(node, edge, prepared.src, prepared.dst, model.layers[0])
-        assert out.shape == (1, 8)
-        with pytest.raises(ValueError, match="isolated"):
-            layer_forward(node, edge, prepared.src, np.full_like(prepared.dst, 5), model.layers[0])
 
 
 class TestCheckpoint:
