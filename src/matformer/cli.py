@@ -198,7 +198,11 @@ def cmd_predict(args) -> int:
     with open(args.checkpoint, "r", encoding="utf-8") as fh:
         checkpoint = json.load(fh)
     model = Matformer.from_checkpoint(checkpoint)
-    scale = checkpoint.get("target_scale", {"mean": 0.0, "std": 1.0})
+    scale = checkpoint.get("target_scale")
+    if scale is None:
+        print("warning: checkpoint has no target_scale; predictions are in normalized units "
+              "(mean 0, std 1)", file=sys.stderr)
+        scale = {"mean": 0.0, "std": 1.0}
     targets = {}
     if args.targets:
         with open(args.targets, "r", encoding="utf-8") as fh:

@@ -23,29 +23,39 @@ def _finite(values: np.ndarray, op: str) -> np.ndarray:
     return values
 
 
-class Tensor:
-    """Dense f64 array node in a computation graph."""
+def _accumulate(entry, g: np.ndarray) -> None:
+    """Add ``g`` into the gradient slot of a tape entry (a leaf or an op output's)."""
+    if entry.grad is None:
+        # a fresh copy of 0.0 + g: the same bits as summing into zeros
+        entry.grad = np.add(g, 0.0, out=np.empty(entry.shape))
+    else:
+        entry.grad += g
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+
+class Tensor:
+    """Dense f64 array: a leaf, or the output of an op.
+
+    An op output that needs gradients points to its tape entry, which never
+    holds the output's values.  A leaf is its own tape entry: it has no
+    parents and gradients accumulate into its ``grad``.
+    """
+
+    __slots__ = ("values", "grad", "requires_grad", "_entry", "name")
+    parents = ()
+    backward_fn = None
 
     def __init__(self, values, requires_grad: bool = False, name: str | None = None):
         self.values = np.asarray(values, dtype=float)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn = None
+        self._entry: _TapeEntry | None = None
         self.name = name
 
     @property
     def shape(self):
         return self.values.shape
 
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a fresh copy of 0.0 + g: the same bits as summing into zeros
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
-        else:
-            self.grad += g
+    accumulate = _accumulate
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -73,16 +83,44 @@ class Tensor:
         return scale(self, -1.0)
 
 
+class _TapeEntry:
+    """What backward needs of one op output: a gradient slot, the output's
+    shape, the parents' entries (None for an input without gradient) and the
+    backward closure.  The closure captured, at forward time, exactly the
+    arrays its formula reads, so an output no formula reads is freed as soon
+    as the forward code drops its Tensor."""
+
+    __slots__ = ("grad", "shape", "parents", "backward_fn")
+
+    def __init__(self, shape, parents, backward_fn):
+        self.grad = None
+        self.shape = shape
+        self.parents = parents
+        self.backward_fn = backward_fn
+
+    accumulate = _accumulate
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _grad_entry(t: Tensor):
+    """The tape entry gradients of ``t`` go to, or None if it needs none."""
+    if t._entry is not None:
+        return t._entry
+    return t if t.requires_grad else None
+
+
 def _node(values, parents, backward_fn, op: str) -> Tensor:
-    out = Tensor(_finite(np.asarray(values, dtype=float), op))
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    """An op's output; ``parents`` are its inputs' tape entries, or None."""
+    out = Tensor(values)
+    _finite(out.values, op)
+    for p in parents:
+        if p is not None:
+            out.requires_grad = True
+            out._entry = _TapeEntry(out.values.shape, parents, backward_fn)
+            break
     return out
 
 
@@ -91,46 +129,49 @@ _FREED_TAPE = ("backward through a graph that was already backpropagated: its ta
 
 
 def _released(g):
-    """Backward closure of a node whose tape ``backward`` has freed."""
+    """Backward closure of an entry whose tape ``backward`` has freed."""
     raise RuntimeError(_FREED_TAPE)
 
 
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into ``grad`` of every reachable leaf.
 
-    The tape is consumed as it goes: once a non-leaf node has passed its
-    gradient on, its ``grad``, backward closure and parent links are
-    dropped, so intermediate buffers are freed as early as they are dead.
-    Only leaf tensors keep gradients, and a graph supports one backward.
+    The tape is consumed as it goes: once an entry has passed its gradient
+    on, its ``grad``, backward closure and parent links are dropped, and
+    with the closure the forward arrays it held, so buffers are freed as
+    early as they are dead.  Only leaf tensors keep gradients, and a graph
+    supports one backward.
     """
     if root.values.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.values.shape}")
-    if root._backward_fn is _released:
+    top = root._entry if root._entry is not None else root
+    if top.backward_fn is _released:
         raise RuntimeError(_FREED_TAPE)
-    topo: list[Tensor] = []
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list = [(top, False)]
     while stack:
-        node, processed = stack.pop()
+        entry, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(entry)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(entry) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
-    root.accumulate(np.ones_like(root.values))
+        seen.add(id(entry))
+        stack.append((entry, True))
+        for p in entry.parents:
+            if p is not None:
+                stack.append((p, False))
+    top.accumulate(np.ones(top.shape))
     while topo:
-        node = topo.pop()
-        if node._backward_fn is None:
+        entry = topo.pop()
+        if entry.backward_fn is None:
             continue
-        if node.grad is not None:
-            node._backward_fn(node.grad)
-        node.grad = None
-        node._backward_fn = _released
-        node._parents = ()
+        if entry.grad is not None:
+            entry.backward_fn(entry.grad)
+        entry.grad = None
+        entry.backward_fn = _released
+        entry.parents = ()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -144,75 +185,81 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    ea, eb = _grad_entry(a), _grad_entry(b)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.values.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.values.shape))
+        if ea is not None:
+            ea.accumulate(_unbroadcast(g, ea.shape))
+        if eb is not None:
+            eb.accumulate(_unbroadcast(g, eb.shape))
 
-    return _node(a.values + b.values, (a, b), bw, "add")
+    return _node(a.values + b.values, (ea, eb), bw, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    ea, eb = _grad_entry(a), _grad_entry(b)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.values.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.values.shape))
+        if ea is not None:
+            ea.accumulate(_unbroadcast(g, ea.shape))
+        if eb is not None:
+            eb.accumulate(_unbroadcast(-g, eb.shape))
 
-    return _node(a.values - b.values, (a, b), bw, "sub")
+    return _node(a.values - b.values, (ea, eb), bw, "sub")
 
 
 def mul(a, b) -> Tensor:
     """Hadamard product with numpy broadcasting."""
     a, b = _as_tensor(a), _as_tensor(b)
+    ea, eb = _grad_entry(a), _grad_entry(b)
+    av, bv = a.values, b.values
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.values, a.values.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.values, b.values.shape))
+        if ea is not None:
+            ea.accumulate(_unbroadcast(g * bv, ea.shape))
+        if eb is not None:
+            eb.accumulate(_unbroadcast(g * av, eb.shape))
 
-    return _node(a.values * b.values, (a, b), bw, "mul")
+    return _node(av * bv, (ea, eb), bw, "mul")
 
 
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
+    ea = _grad_entry(a)
     c = float(c)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * c)
+        ea.accumulate(g * c)
 
-    return _node(a.values * c, (a,), bw, "scale")
+    return _node(a.values * c, (ea,), bw, "scale")
 
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    ea, eb = _grad_entry(a), _grad_entry(b)
+    av, bv = a.values, b.values
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.values.T)
-        if b.requires_grad:
-            b.accumulate(a.values.T @ g)
+        if ea is not None:
+            ea.accumulate(g @ bv.T)
+        if eb is not None:
+            eb.accumulate(av.T @ g)
 
-    return _node(a.values @ b.values, (a, b), bw, "matmul")
+    return _node(av @ bv, (ea, eb), bw, "matmul")
 
 
 def concat(parts, axis: int = -1) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
-    sizes = [p.values.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    entries = tuple(_grad_entry(p) for p in parts)
+    splits = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
 
     def bw(g):
-        for p, piece in zip(parts, np.split(g, splits, axis=axis)):
-            if p.requires_grad:
-                p.accumulate(piece)
+        for e, piece in zip(entries, np.split(g, splits, axis=axis)):
+            if e is not None:
+                e.accumulate(piece)
 
-    return _node(np.concatenate([p.values for p in parts], axis=axis), parts, bw, "concat")
+    return _node(np.concatenate([p.values for p in parts], axis=axis), entries, bw, "concat")
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -225,47 +272,48 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
+    ea = _grad_entry(a)
     s = _sigmoid_values(a.values)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * s * (1.0 - s))
+        ea.accumulate(g * s * (1.0 - s))
 
-    return _node(s, (a,), bw, "sigmoid")
+    return _node(s, (ea,), bw, "sigmoid")
 
 
 def silu(a) -> Tensor:
     """x * sigmoid(x); smooth, with silu(0) = 0."""
     a = _as_tensor(a)
-    s = _sigmoid_values(a.values)
+    ea = _grad_entry(a)
+    x = a.values
+    s = _sigmoid_values(x)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * (s + a.values * s * (1.0 - s)))
+        ea.accumulate(g * (s + x * s * (1.0 - s)))
 
-    return _node(a.values * s, (a,), bw, "silu")
+    return _node(x * s, (ea,), bw, "silu")
 
 
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
-    out = np.logaddexp(0.0, a.values)
+    ea = _grad_entry(a)
+    x = a.values
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g / (1.0 + np.exp(-a.values)))
+        ea.accumulate(g / (1.0 + np.exp(-x)))
 
-    return _node(out, (a,), bw, "softplus")
+    return _node(np.logaddexp(0.0, x), (ea,), bw, "softplus")
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
+    ea = _grad_entry(a)
     out = np.exp(a.values)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g * out)
+        ea.accumulate(g * out)
 
-    return _node(out, (a,), bw, "exp")
+    return _node(out, (ea,), bw, "exp")
 
 
 ACTIVATIONS = {"silu": silu, "softplus": softplus, "sigmoid": sigmoid}
@@ -273,15 +321,15 @@ ACTIVATIONS = {"silu": silu, "softplus": softplus, "sigmoid": sigmoid}
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
+    ea = _grad_entry(a)
     shifted = a.values - a.values.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        ea.accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
-    return _node(s, (a,), bw, "softmax")
+    return _node(s, (ea,), bw, "softmax")
 
 
 def _segment_sum_np(x: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
@@ -312,6 +360,7 @@ def _segment_sum_np(x: np.ndarray, segments: np.ndarray, num_segments: int) -> n
 def segment_softmax(a, segments, num_segments: int) -> Tensor:
     """Softmax over rows sharing a segment id, columnwise."""
     a = _as_tensor(a)
+    ea = _grad_entry(a)
     segments = np.asarray(segments, dtype=int)
     seg_max = np.full((num_segments,) + a.values.shape[1:], -np.inf)
     np.maximum.at(seg_max, segments, a.values)
@@ -320,16 +369,16 @@ def segment_softmax(a, segments, num_segments: int) -> Tensor:
     s = e / denom[segments]
 
     def bw(g):
-        if a.requires_grad:
-            inner = _segment_sum_np(g * s, segments, num_segments)
-            a.accumulate(s * (g - inner[segments]))
+        inner = _segment_sum_np(g * s, segments, num_segments)
+        ea.accumulate(s * (g - inner[segments]))
 
-    return _node(s, (a,), bw, "segment_softmax")
+    return _node(s, (ea,), bw, "segment_softmax")
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply elementwise affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
+    ea, eg, eb = _grad_entry(a), _grad_entry(gain), _grad_entry(bias)
     dim = a.values.shape[-1]
     if dim < 2:
         raise ValueError("layer_norm over a length-1 axis is undefined")
@@ -340,20 +389,21 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     var /= dim
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
+    gv = gain.values
 
     def bw(g):
-        if gain.requires_grad:
-            gain.accumulate(_unbroadcast(g * xhat, gain.values.shape))
-        if bias.requires_grad:
-            bias.accumulate(_unbroadcast(g, bias.values.shape))
-        if a.requires_grad:
-            gh = g * gain.values
+        if eg is not None:
+            eg.accumulate(_unbroadcast(g * xhat, eg.shape))
+        if eb is not None:
+            eb.accumulate(_unbroadcast(g, eb.shape))
+        if ea is not None:
+            gh = g * gv
             term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate(term * inv)
+            ea.accumulate(term * inv)
 
-    out = xhat * gain.values
+    out = xhat * gv
     out += bias.values
-    return _node(out, (a, gain, bias), bw, "layer_norm")
+    return _node(out, (ea, eg, eb), bw, "layer_norm")
 
 
 @dataclass
@@ -395,6 +445,7 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool, eps: float
     statistics, making the output a pure function of the input.
     """
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
+    ea, eg, eb = _grad_entry(a), _grad_entry(gamma), _grad_entry(beta)
     x = a.values
     if x.ndim != 2:
         raise ValueError(f"batch_norm expects a 2D input, got shape {x.shape}")
@@ -410,82 +461,73 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool, eps: float
         state.running_mean = (1.0 - m) * state.running_mean + m * mean
         state.running_var = (1.0 - m) * state.running_var + m * var * n / (n - 1)
         state.num_batches += 1
-
-        def bw(g):
-            if gamma.requires_grad:
-                gamma.accumulate((g * xhat).sum(axis=0))
-            if beta.requires_grad:
-                beta.accumulate(g.sum(axis=0))
-            if a.requires_grad:
-                gh = g * gamma.values
-                term = gh - gh.mean(axis=0) - xhat * (gh * xhat).mean(axis=0)
-                a.accumulate(term * inv)
-
     else:
         inv = 1.0 / np.sqrt(state.running_var + eps)
         xhat = (x - state.running_mean) * inv
+    gv = gamma.values
 
-        def bw(g):
-            if gamma.requires_grad:
-                gamma.accumulate((g * xhat).sum(axis=0))
-            if beta.requires_grad:
-                beta.accumulate(g.sum(axis=0))
-            if a.requires_grad:
-                a.accumulate(g * gamma.values * inv)
+    def bw(g):
+        if eg is not None:
+            eg.accumulate((g * xhat).sum(axis=0))
+        if eb is not None:
+            eb.accumulate(g.sum(axis=0))
+        if ea is not None:
+            gh = g * gv
+            if training:
+                # batch statistics depend on every row
+                gh = gh - gh.mean(axis=0) - xhat * (gh * xhat).mean(axis=0)
+            ea.accumulate(gh * inv)
 
-    return _node(xhat * gamma.values + beta.values, (a, gamma, beta), bw, "batch_norm")
+    return _node(xhat * gv + beta.values, (ea, eg, eb), bw, "batch_norm")
 
 
 def mean(a, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
-    out = a.values.mean(axis=axis)
+    ea = _grad_entry(a)
     count = a.values.size if axis is None else a.values.shape[axis]
 
     def bw(g):
-        if a.requires_grad:
-            if axis is None:
-                a.accumulate(np.full_like(a.values, float(g) / count))
-            else:
-                a.accumulate(np.broadcast_to(np.expand_dims(g, axis), a.values.shape) / count)
+        if axis is None:
+            ea.accumulate(np.full(ea.shape, float(g) / count))
+        else:
+            ea.accumulate(np.broadcast_to(np.expand_dims(g, axis), ea.shape) / count)
 
-    return _node(out, (a,), bw, "mean")
+    return _node(a.values.mean(axis=axis), (ea,), bw, "mean")
 
 
 def tensor_sum(a, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
-    out = a.values.sum(axis=axis)
+    ea = _grad_entry(a)
 
     def bw(g):
-        if a.requires_grad:
-            if axis is None:
-                a.accumulate(np.full_like(a.values, float(g)))
-            else:
-                a.accumulate(np.broadcast_to(np.expand_dims(g, axis), a.values.shape).copy())
+        if axis is None:
+            ea.accumulate(np.full(ea.shape, float(g)))
+        else:
+            ea.accumulate(np.broadcast_to(np.expand_dims(g, axis), ea.shape).copy())
 
-    return _node(out, (a,), bw, "sum")
+    return _node(a.values.sum(axis=axis), (ea,), bw, "sum")
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    orig = a.values.shape
+    ea = _grad_entry(a)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(orig))
+        ea.accumulate(g.reshape(ea.shape))
 
-    return _node(a.values.reshape(shape), (a,), bw, "reshape")
+    return _node(a.values.reshape(shape), (ea,), bw, "reshape")
 
 
 def gather_rows(a, index) -> Tensor:
     """Select rows by index; gradient scatter-adds back."""
     a = _as_tensor(a)
+    ea = _grad_entry(a)
     index = np.asarray(index, dtype=int)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(_segment_sum_np(g, index, a.values.shape[0]))
+        ea.accumulate(_segment_sum_np(g, index, ea.shape[0]))
 
-    return _node(a.values[index], (a,), bw, "gather_rows")
+    return _node(a.values[index], (ea,), bw, "gather_rows")
 
 
 def scatter_sum(a, index, num_rows: int) -> Tensor:
@@ -495,13 +537,13 @@ def scatter_sum(a, index, num_rows: int) -> Tensor:
     construction canonicalizes, so results are reproducible.
     """
     a = _as_tensor(a)
+    ea = _grad_entry(a)
     index = np.asarray(index, dtype=int)
 
     def bw(g):
-        if a.requires_grad:
-            a.accumulate(g[index])
+        ea.accumulate(g[index])
 
-    return _node(_segment_sum_np(a.values, index, num_rows), (a,), bw, "scatter_sum")
+    return _node(_segment_sum_np(a.values, index, num_rows), (ea,), bw, "scatter_sum")
 
 
 def segment_mean(a, index, num_rows: int) -> Tensor:

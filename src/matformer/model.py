@@ -18,7 +18,7 @@ comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -144,8 +144,10 @@ class MatformerLayer:
                            variant: str | None = None) -> Tensor:
         """Merged per-node message m_i, before batch norm and the residual."""
         n_nodes = node_feats.shape[0]
+        n_edges = len(dst)
         variant = variant or self.config.attention_variant
-        d_k = 3 * self.config.d_model
+        d = self.config.d_model
+        d_k = 3 * d
 
         head_outputs = []
         for head in self.heads:
@@ -156,8 +158,9 @@ class MatformerLayer:
 
             q_dst = engine.gather_rows(q, dst)
             k_pair = engine.concat([engine.gather_rows(k, dst), engine.gather_rows(k, src), e])
-            q_trip = engine.concat([q_dst, q_dst, q_dst])
-            alpha = engine.scale(engine.mul(q_trip, k_pair), 1.0 / math.sqrt(d_k))
+            # q_ij o k_ij with q_ij = (q_i | q_i | q_i), as an (E, 3, d) broadcast
+            qk = engine.mul(engine.reshape(q_dst, (n_edges, 1, d)), engine.reshape(k_pair, (n_edges, 3, d)))
+            alpha = engine.scale(engine.reshape(qk, (n_edges, d_k)), 1.0 / math.sqrt(d_k))
 
             gate = attention_gate(alpha, dst, n_nodes, variant,
                                   self.alpha_ln_gain, self.alpha_ln_bias)
@@ -255,6 +258,9 @@ class Matformer:
 
     @classmethod
     def from_checkpoint(cls, data: dict) -> "Matformer":
+        unknown = sorted(set(data["config"]) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise ValueError(f"checkpoint config has unknown keys: {unknown}")
         model = cls(ModelConfig(**data["config"]))
         if len(data["bn_states"]) != len(model.layers):
             raise ValueError(

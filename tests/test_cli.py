@@ -6,6 +6,7 @@ import pytest
 
 from matformer import io
 from matformer.cli import main
+from matformer.model import Matformer, ModelConfig
 from matformer.synthetic import random_corpus
 
 CUBE_POSCAR = """hydrogen cube
@@ -139,6 +140,21 @@ class TestTrainPredict:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "id,prediction,target,abs_err"
         assert len(lines) == 2
+
+    def test_predict_warns_when_target_scale_is_missing(self, corpus_dir, tmp_path, capsys):
+        cfg = ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4)
+        checkpoint = Matformer(cfg, seed=3).to_checkpoint()
+        bare, scaled = tmp_path / "bare.json", tmp_path / "scaled.json"
+        bare.write_text(json.dumps(checkpoint))
+        scaled.write_text(json.dumps({**checkpoint, "target_scale": {"mean": 0.0, "std": 1.0}}))
+
+        assert main(["predict", "--checkpoint", str(bare), "--data", corpus_dir]) == 0
+        warned = capsys.readouterr()
+        assert "no target_scale" in warned.err
+        assert main(["predict", "--checkpoint", str(scaled), "--data", corpus_dir]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert warned.out == quiet.out and len(quiet.out.strip().splitlines()) == 4
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -123,11 +124,13 @@ class TestTapeRelease:
         hidden = engine.matmul(w, x)
         act = engine.sigmoid(hidden)
         out = engine.mean(act)
+        entries = [node._entry for node in (hidden, act, out)]
+        assert [e.parents for e in entries] == [(w, x), (entries[0],), (entries[1],)]
         backward(out)
         assert w.grad is not None and x.grad is not None
-        for node in (hidden, act, out):
-            assert node.grad is None
-            assert node._parents == ()
+        for node, entry in zip((hidden, act, out), entries):
+            assert node.grad is None and entry.grad is None
+            assert entry.parents == ()
 
     def test_leaf_gradient_does_not_alias_upstream_buffers(self):
         a, b = param((3,)), param((3,))
@@ -158,6 +161,52 @@ class TestTapeRelease:
         w.zero_grad()
         backward(engine.tensor_sum(engine.mul(w, w)))
         assert np.allclose(w.grad, 2.0 * w.values)
+
+
+class TestTapeHoldsOnlyWhatBackwardReads:
+    """The tape keeps each closure's forward-time arrays, never an op's output as such."""
+
+    def test_linear_frees_its_matmul_output(self, monkeypatch):
+        x, w, b = param((5, 4)), param((4, 3)), param((3,))
+        products = []
+        matmul = engine.matmul
+
+        def spy(*args):
+            out = matmul(*args)
+            products.append(weakref.ref(out.values))
+            return out
+
+        monkeypatch.setattr(engine, "matmul", spy)
+        out = engine.linear(x, w, b)
+        assert len(products) == 1 and products[0]() is None
+        matmul_entry, bias = out._entry.parents
+        assert matmul_entry.backward_fn is not None and bias is b
+        backward(engine.tensor_sum(out))
+        assert np.array_equal(w.grad, x.values.T @ np.ones((5, 3)))
+        assert np.array_equal(x.grad, np.ones((5, 3)) @ w.values.T)
+        assert np.array_equal(b.grad, np.full(3, 5.0))
+
+    def test_scale_frees_its_input(self):
+        x = param((4, 3))
+        hidden = engine.add(x, x)
+        ref = weakref.ref(hidden.values)
+        out = engine.scale(hidden, 2.0)
+        del hidden
+        assert ref() is None
+        backward(engine.tensor_sum(out))
+        assert np.array_equal(x.grad, np.full((4, 3), 4.0))
+
+    def test_mul_keeps_its_inputs_until_backward(self):
+        a, b = param((4, 3)), param((4, 3))
+        u, v = engine.scale(a, 1.0), engine.scale(b, 1.0)
+        refs = (weakref.ref(u.values), weakref.ref(v.values))
+        out = engine.mul(u, v)
+        del u, v
+        assert all(r() is not None for r in refs)
+        backward(engine.tensor_sum(out))
+        assert np.array_equal(a.grad, b.values)
+        assert np.array_equal(b.grad, a.values)
+        assert all(r() is None for r in refs)
 
 
 def _add_at(x, index, num_rows):

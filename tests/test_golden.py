@@ -6,11 +6,16 @@ criterion's own single crystal in eval mode, and a batch in training mode
 for each attention variant.  It was captured from the engine before its
 gradient buffers were freed during backward and its ``np.add.at``
 scatter-adds were replaced by segment sums; both changes must keep every
-bit.  Recapture only for a deliberate change of numerics, with
+bit.  It also holds one SHA-256 digest over the prediction bytes and every
+parameter gradient's bytes, in name order, for a training-mode batch at the
+paper configuration, captured before the tape stopped holding op outputs
+and before q o k became a broadcast.  Recapture only for a deliberate
+change of numerics, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 import os
 
@@ -34,11 +39,10 @@ CASES = {
 }
 
 
-def run_case(name):
-    """Predictions and gradients of an MSE loss against 0.3 for one case."""
-    variant, training, n, seed, atoms = CASES[name]
-    model = Matformer(ModelConfig(attention_variant=variant, **CONFIG), seed=66)
-    prepared = batch_prepared([model.prepare(c) for c in random_corpus(n, seed=seed, n_atoms_max=atoms)])
+def run_model(model, crystals, training):
+    """Predictions and gradients of an MSE loss against 0.3."""
+    n = len(crystals)
+    prepared = batch_prepared([model.prepare(c) for c in crystals])
     pred = model.forward(prepared, training=training)
     diff = engine.sub(pred, engine.Tensor(np.full((n, 1), 0.3)))
     loss = engine.mean(engine.mul(diff, diff))
@@ -49,6 +53,21 @@ def run_case(name):
     return pred.values, grads
 
 
+def run_case(name):
+    variant, training, n, seed, atoms = CASES[name]
+    model = Matformer(ModelConfig(attention_variant=variant, **CONFIG), seed=66)
+    return run_model(model, random_corpus(n, seed=seed, n_atoms_max=atoms), training)
+
+
+def paper_config_digest() -> str:
+    """SHA-256 of the prediction bytes, then each gradient's bytes in name order."""
+    pred, grads = run_model(Matformer(ModelConfig(), seed=5), random_corpus(8, seed=7), training=True)
+    digest = hashlib.sha256(np.ascontiguousarray(pred).tobytes())
+    for name in sorted(grads):
+        digest.update(np.ascontiguousarray(grads[name]).tobytes())
+    return digest.hexdigest()
+
+
 def capture() -> dict:
     out = {}
     for name in CASES:
@@ -57,6 +76,7 @@ def capture() -> dict:
             "predictions": pred.ravel().tolist(),
             "grads": {k: {"shape": list(g.shape), "values": g.ravel().tolist()} for k, g in grads.items()},
         }
+    out["paper_config"] = {"sha256": paper_config_digest()}
     return out
 
 
@@ -75,6 +95,10 @@ def test_matches_golden_bit_for_bit(golden, name):
     for key, entry in expected["grads"].items():
         want = np.array(entry["values"], dtype=float).reshape(entry["shape"])
         assert np.array_equal(grads[key], want), key
+
+
+def test_paper_config_matches_golden_digest(golden):
+    assert paper_config_digest() == golden["paper_config"]["sha256"]
 
 
 if __name__ == "__main__":

@@ -322,6 +322,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="batch-norm states"):
             Matformer.from_checkpoint(data)
 
+    def test_unknown_config_keys_rejected(self):
+        data = Matformer(SMALL, seed=6).to_checkpoint()
+        data["config"].update(n_layer=3, dropout=0.1)
+        with pytest.raises(ValueError, match=r"unknown keys: \['dropout', 'n_layer'\]"):
+            Matformer.from_checkpoint(data)
+
 
 class TestGradients:
     def test_small_model_passes_finite_differences(self):
