@@ -31,6 +31,7 @@ from .graphs import (
     image_bound,
     neighbor_candidates,
 )
+from .io import crystal_to_dict
 
 DEFAULT_ALPHAS = ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2))
 
@@ -128,22 +129,26 @@ class AuditReport:
         if (self.witness is not None) != (self.violations > 0):
             raise ValueError("witness must be present iff violations occurred")
 
-    def to_dict(self) -> dict:
-        return {
-            "construction_name": self.construction_name,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_discrepancy": self.worst_discrepancy,
-            "witness": self.witness,
-        }
 
+def _tally(name: str, outcomes, tol: float) -> AuditReport:
+    """Report on ``(crystal, transform, discrepancy)`` trial outcomes.
 
-def _crystal_payload(crystal: Crystal) -> dict:
-    return {
-        "atomic_numbers": crystal.atomic_numbers.tolist(),
-        "positions": crystal.positions.tolist(),
-        "lattice": crystal.lattice.tolist(),
-    }
+    A trial violates when its discrepancy exceeds ``tol``.  The worst
+    discrepancy is clamped to the largest float, and the first violating
+    trial is the witness.
+    """
+    trials = violations = 0
+    worst = 0.0
+    witness = None
+    for crystal, transform, disc in outcomes:
+        trials += 1
+        worst = max(worst, min(disc, np.finfo(float).max))
+        if disc > tol:
+            violations += 1
+            if witness is None:
+                witness = {"crystal": crystal_to_dict(crystal), "transform": transform,
+                           "discrepancy": float(disc)}
+    return AuditReport(name, trials, violations, float(worst), witness)
 
 
 def audit_periodic_invariance(
@@ -163,33 +168,23 @@ def audit_periodic_invariance(
     originating atom when ``a != (1, 1, 1)``).
     """
     rng = np.random.default_rng(seed)
-    trials = violations = 0
-    worst = 0.0
-    witness = None
-    for crystal in crystals:
-        base_graph = builder(crystal)
-        base_sig = graph_signature(base_graph)
-        for t in range(trials_per_crystal):
-            alpha = tuple(alphas[t % len(alphas)])
-            scaled = supercell(crystal, alpha)
-            corner = rng.uniform(-1.0, 2.0, 3) @ scaled.lattice
-            moved = shift_boundary(scaled, corner)
-            other = builder(moved)
-            if alpha == (1, 1, 1):
-                disc = signature_discrepancy(base_sig, graph_signature(other))
-            else:
-                disc = quotient_discrepancy(base_graph, other, crystal.n_atoms)
-            trials += 1
-            worst = max(worst, min(disc, np.finfo(float).max))
-            if disc > tol:
-                violations += 1
-                if witness is None:
-                    witness = {
-                        "crystal": _crystal_payload(crystal),
-                        "transform": {"type": "periodic", "corner": corner.tolist(), "alpha": list(alpha)},
-                        "discrepancy": float(disc),
-                    }
-    return AuditReport(name, trials, violations, float(worst), witness)
+
+    def outcomes():
+        for crystal in crystals:
+            base_graph = builder(crystal)
+            base_sig = graph_signature(base_graph)
+            for t in range(trials_per_crystal):
+                alpha = tuple(alphas[t % len(alphas)])
+                scaled = supercell(crystal, alpha)
+                corner = rng.uniform(-1.0, 2.0, 3) @ scaled.lattice
+                other = builder(shift_boundary(scaled, corner))
+                if alpha == (1, 1, 1):
+                    disc = signature_discrepancy(base_sig, graph_signature(other))
+                else:
+                    disc = quotient_discrepancy(base_graph, other, crystal.n_atoms)
+                yield crystal, {"type": "periodic", "corner": corner.tolist(), "alpha": list(alpha)}, disc
+
+    return _tally(name, outcomes(), tol)
 
 
 def audit_e3_invariance(
@@ -202,50 +197,31 @@ def audit_e3_invariance(
 ) -> AuditReport:
     """Compare builder output across random rotations/reflections and translations."""
     rng = np.random.default_rng(seed)
-    trials = violations = 0
-    worst = 0.0
-    witness = None
-    for crystal in crystals:
-        base_sig = graph_signature(builder(crystal))
-        for _ in range(trials_per_crystal):
-            q = random_orthogonal(rng)
-            b = rng.uniform(-5.0, 5.0, 3)
-            moved = apply_e3(crystal, E3Transform(q, b))
-            disc = signature_discrepancy(base_sig, graph_signature(builder(moved)))
-            trials += 1
-            worst = max(worst, min(disc, np.finfo(float).max))
-            if disc > tol:
-                violations += 1
-                if witness is None:
-                    witness = {
-                        "crystal": _crystal_payload(crystal),
-                        "transform": {"type": "e3", "rotation": q.tolist(), "translation": b.tolist()},
-                        "discrepancy": float(disc),
-                    }
-    return AuditReport(name, trials, violations, float(worst), witness)
+
+    def outcomes():
+        for crystal in crystals:
+            base_sig = graph_signature(builder(crystal))
+            for _ in range(trials_per_crystal):
+                q = random_orthogonal(rng)
+                b = rng.uniform(-5.0, 5.0, 3)
+                moved = apply_e3(crystal, E3Transform(q, b))
+                disc = signature_discrepancy(base_sig, graph_signature(builder(moved)))
+                yield crystal, {"type": "e3", "rotation": q.tolist(), "translation": b.tolist()}, disc
+
+    return _tally(name, outcomes(), tol)
 
 
 def audit_knn_determinism(crystal: Crystal, k: int, seeds: tuple[int, ...] = (0, 1, 2, 3)) -> AuditReport:
     """Flag enumeration-order sensitivity of distance-only kNN selection."""
     reference = graph_signature(knn_distance_only_builder(crystal, k, perturbation_seed=seeds[0]))
-    trials = violations = 0
-    worst = 0.0
-    witness = None
-    for s in seeds[1:]:
-        disc = signature_discrepancy(
-            reference, graph_signature(knn_distance_only_builder(crystal, k, perturbation_seed=s))
-        )
-        trials += 1
-        worst = max(worst, min(disc, np.finfo(float).max))
-        if disc > 0.0:
-            violations += 1
-            if witness is None:
-                witness = {
-                    "crystal": _crystal_payload(crystal),
-                    "transform": {"type": "enumeration_seed", "seed": int(s)},
-                    "discrepancy": float(disc),
-                }
-    return AuditReport("knn_distance_only", trials, violations, float(worst), witness)
+
+    def outcomes():
+        for s in seeds[1:]:
+            other = graph_signature(knn_distance_only_builder(crystal, k, perturbation_seed=s))
+            disc = signature_discrepancy(reference, other)
+            yield crystal, {"type": "enumeration_seed", "seed": int(s)}, disc
+
+    return _tally("knn_distance_only", outcomes(), 0.0)
 
 
 # --- broken constructions (negative controls) ---------------------------------

@@ -1,5 +1,9 @@
 """Command-line surface: graph construction, invariance audits, featurization,
-training, prediction, benchmarking, and the line-graph size analysis."""
+training, prediction, and the line-graph size analysis.
+
+``train --config`` reads a flat key=value run config whose keys are
+``model.<ModelConfig field>`` or ``train.<TrainConfig field>``; any other
+key is rejected."""
 
 from __future__ import annotations
 
@@ -9,13 +13,12 @@ import json
 import math
 import os
 import sys
-import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import audit as audit_mod
-from . import engine, io, synthetic, training
+from . import io, synthetic, training
 from .featurize import GraphEmbedding, prepare_graph
 from .model import Matformer, ModelConfig
 
@@ -72,7 +75,7 @@ def cmd_audit(args) -> int:
         report = audit_mod.audit_e3_invariance(
             builder, crystals, args.trials, args.seed, name=args.builder
         )
-    payload = json.dumps(report.to_dict(), indent=1)
+    payload = json.dumps(asdict(report), indent=1)
     if args.out:
         io.atomic_write(args.out, payload)
     print(
@@ -108,27 +111,31 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def _config_from_mapping(cls, mapping: dict[str, str], prefix: str):
-    kwargs = {}
-    for f in fields(cls):
-        key = f"{prefix}.{f.name}"
-        if key not in mapping:
-            continue
-        raw = mapping[key]
-        if f.type in ("int", int):
-            kwargs[f.name] = int(raw)
-        elif f.type in ("float", float):
-            kwargs[f.name] = float(raw)
-        elif f.type in ("bool", bool):
-            kwargs[f.name] = raw.lower() in ("1", "true", "yes")
-        elif f.name == "grad_clip":
-            kwargs[f.name] = None if raw.lower() in ("none", "") else float(raw)
-        elif f.name == "betas":
-            parts = [float(x) for x in raw.split(",")]
-            kwargs[f.name] = (parts[0], parts[1])
-        else:
-            kwargs[f.name] = raw
-    return cls(**kwargs)
+def _parse_bool(raw: str) -> bool:
+    words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    if raw.lower() not in words:
+        raise ValueError(f"expected one of {sorted(words)}, got {raw!r}")
+    return words[raw.lower()]
+
+
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+
+
+def _run_configs(mapping: dict[str, str]) -> tuple[ModelConfig, training.TrainConfig]:
+    """The model and training configs a run config sets; other fields keep their defaults."""
+    sections = {"model": ModelConfig, "train": training.TrainConfig}
+    known = {f"{prefix}.{f.name}": f.type for prefix, cls in sections.items() for f in fields(cls)}
+    unknown = sorted(set(mapping) - set(known))
+    if unknown:
+        raise SystemExit(f"unknown run-config keys: {unknown}; accepted keys: {sorted(known)}")
+    kwargs = {prefix: {} for prefix in sections}
+    for key, raw in mapping.items():
+        prefix, name = key.split(".", 1)
+        try:
+            kwargs[prefix][name] = _PARSERS[known[key]](raw)
+        except ValueError as err:
+            raise SystemExit(f"run-config key {key}: {err}") from err
+    return ModelConfig(**kwargs["model"]), training.TrainConfig(**kwargs["train"])
 
 
 def _load_dataset(args) -> list[io.DatasetRecord]:
@@ -168,8 +175,7 @@ def cmd_train(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             mapping = io.parse_run_config(fh.read())
-    model_config = _config_from_mapping(ModelConfig, mapping, "model")
-    train_config = _config_from_mapping(training.TrainConfig, mapping, "train")
+    model_config, train_config = _run_configs(mapping)
 
     records = _load_dataset(args)
     train_recs, val_recs, test_recs = _split(records, args.val_fraction, args.test_fraction, train_config.seed)
@@ -217,27 +223,6 @@ def cmd_predict(args) -> int:
         print(f"wrote {len(rows)} predictions to {args.out}")
     else:
         print(text, end="")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    crystals = synthetic.random_corpus(args.n, seed=args.seed)
-    results = []
-    for method in ("radius", "tfc"):
-        build = audit_mod.make_builder(method, neighbor_rank=args.rank, t=args.t, self_edges=True)
-        start = time.perf_counter()
-        for c in crystals:
-            build(c)
-        elapsed = time.perf_counter() - start
-        results.append((method, len(crystals) / elapsed, elapsed))
-    print(f"{'method':<10} {'crystals/s':>12} {'total s':>10}")
-    for method, rate, elapsed in results:
-        print(f"{method:<10} {rate:>12.1f} {elapsed:>10.3f}")
-    if args.out:
-        io.atomic_write(
-            args.out,
-            json.dumps({m: {"crystals_per_s": r, "seconds": e} for m, r, e in results}, indent=1),
-        )
     return 0
 
 
@@ -306,14 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets")
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("bench", help="graph-construction throughput on synthetic cells")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rank", type=int, default=12)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("analyze", help="derived size analyses")
     p.add_argument("what", choices=("line-graph-size",))

@@ -9,7 +9,6 @@ validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +39,15 @@ class Tensor:
     parents and gradients accumulate into its ``grad``.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_entry", "name")
+    __slots__ = ("values", "grad", "requires_grad", "_entry")
     parents = ()
     backward_fn = None
 
-    def __init__(self, values, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=float)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._entry: _TapeEntry | None = None
-        self.name = name
 
     @property
     def shape(self):
@@ -64,23 +62,7 @@ class Tensor:
         backward(self)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.values.shape}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
+        return f"Tensor(shape={self.values.shape})"
 
 
 class _TapeEntry:
@@ -574,14 +556,6 @@ def parameters_to_dict(params: dict[str, Tensor]) -> dict:
     }
 
 
-def parameters_from_dict(data: dict) -> dict[str, Tensor]:
-    out = {}
-    for name, entry in data.items():
-        arr = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
-        out[name] = Tensor(arr, requires_grad=True, name=name)
-    return out
-
-
 def load_parameter_values(params: dict[str, Tensor], data: dict) -> None:
     """Load checkpoint values into an existing parameter dict, strictly."""
     missing = set(params) - set(data)
@@ -593,14 +567,6 @@ def load_parameter_values(params: dict[str, Tensor], data: dict) -> None:
         if arr.shape != params[name].values.shape:
             raise ValueError(f"shape mismatch for {name}")
         params[name].values = arr
-
-
-def dumps_parameters(params: dict[str, Tensor]) -> str:
-    return json.dumps(parameters_to_dict(params))
-
-
-def loads_parameters(text: str) -> dict[str, Tensor]:
-    return parameters_from_dict(json.loads(text))
 
 
 # --- finite differences ------------------------------------------------------

@@ -140,12 +140,10 @@ class MatformerLayer:
         )
         return out
 
-    def aggregate_messages(self, node_feats: Tensor, edge_feats: Tensor, src, dst,
-                           variant: str | None = None) -> Tensor:
+    def aggregate_messages(self, node_feats: Tensor, edge_feats: Tensor, src, dst) -> Tensor:
         """Merged per-node message m_i, before batch norm and the residual."""
         n_nodes = node_feats.shape[0]
         n_edges = len(dst)
-        variant = variant or self.config.attention_variant
         d = self.config.d_model
         d_k = 3 * d
 
@@ -162,7 +160,7 @@ class MatformerLayer:
             qk = engine.mul(engine.reshape(q_dst, (n_edges, 1, d)), engine.reshape(k_pair, (n_edges, 3, d)))
             alpha = engine.scale(engine.reshape(qk, (n_edges, d_k)), 1.0 / math.sqrt(d_k))
 
-            gate = attention_gate(alpha, dst, n_nodes, variant,
+            gate = attention_gate(alpha, dst, n_nodes, self.config.attention_variant,
                                   self.alpha_ln_gain, self.alpha_ln_bias)
             v_pair = engine.concat([engine.gather_rows(v, dst), engine.gather_rows(v, src), e])
             message = engine.linear(engine.mul(gate, v_pair), head["upd_w"], head["upd_b"])
@@ -174,10 +172,9 @@ class MatformerLayer:
 
         return engine.linear(engine.concat(head_outputs, axis=1), self.merge_w, self.merge_b)
 
-    def forward(self, node_feats: Tensor, edge_feats: Tensor, src, dst,
-                training: bool = False, variant: str | None = None) -> Tensor:
+    def forward(self, node_feats: Tensor, edge_feats: Tensor, src, dst, training: bool = False) -> Tensor:
         act = engine.ACTIVATIONS[self.config.activation]
-        merged = self.aggregate_messages(node_feats, edge_feats, src, dst, variant)
+        merged = self.aggregate_messages(node_feats, edge_feats, src, dst)
         normed = engine.batch_norm(merged, self.bn_gamma, self.bn_beta, self.bn_state, training)
         return engine.add(engine.linear(node_feats, self.fea_w, self.fea_b), act(normed))
 

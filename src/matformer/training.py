@@ -25,14 +25,7 @@ class TrainConfig:
     epochs: int = 500
     batch_size: int = 64
     weight_decay: float = 1e-5
-    pct_start: float = 0.3
-    div_factor: float = 25.0
-    final_div: float = 1e4
     seed: int = 0
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    grad_clip: float | None = None
-    standardize_targets: bool = True
 
     def __post_init__(self):
         if self.lr_max < 0 or self.epochs < 1 or self.batch_size < 1:
@@ -57,18 +50,17 @@ def adam_step(
     params: dict[str, Tensor],
     state: AdamState,
     lr: float,
+    grads: dict[str, np.ndarray],
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
     weight_decay: float = 1e-5,
-    grads: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update, in place, with one gradient in
+    ``grads`` per name in ``params``.
 
     Weight decay is decoupled: ``w <- w - lr*wd*w`` before the Adam delta.
     A step with any non-finite gradient is rejected wholesale.
     """
-    if grads is None:
-        grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values)) for k, p in params.items()}
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
@@ -136,13 +128,6 @@ class TrainResult:
     log: list[dict]
     best_checkpoint: dict
     best_val_mae: float
-
-
-def _global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    return math.sqrt(total)
 
 
 def _epoch_batches(order: np.ndarray, atoms: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -215,13 +200,10 @@ def train(
     train_targets = np.array([r.target for r in train_records], dtype=float)
     val_targets = np.array([r.target for r in val_records], dtype=float)
 
-    if config.standardize_targets:
-        t_mean = float(train_targets.mean())
-        t_std = float(train_targets.std())
-        if t_std == 0.0:
-            t_std = 1.0
-    else:
-        t_mean, t_std = 0.0, 1.0
+    t_mean = float(train_targets.mean())
+    t_std = float(train_targets.std())
+    if t_std == 0.0:
+        t_std = 1.0
     scaled_targets = (train_targets - t_mean) / t_std
 
     n_train = len(train_records)
@@ -242,8 +224,7 @@ def train(
             global_step = epoch * steps_per_epoch + b
             batch = batch_prepared([train_graphs[i] for i in idx])
             target = Tensor(scaled_targets[idx][:, None])
-            lr = one_cycle_lr(global_step, total_steps, config.lr_max,
-                              config.pct_start, config.div_factor, config.final_div)
+            lr = one_cycle_lr(global_step, total_steps, config.lr_max)
             try:
                 pred = model.forward(batch, training=True)
                 diff = engine.sub(pred, target)
@@ -259,12 +240,7 @@ def train(
             loss.backward()
             grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values))
                      for k, p in params.items()}
-            if config.grad_clip is not None:
-                norm = _global_grad_norm(grads)
-                if norm > config.grad_clip:
-                    factor = config.grad_clip / norm
-                    grads = {k: g * factor for k, g in grads.items()}
-            adam_step(params, state, lr, config.betas, config.eps, config.weight_decay, grads)
+            adam_step(params, state, lr, grads, weight_decay=config.weight_decay)
             epoch_losses.append(loss_value)
 
         val_preds = evaluate(model, val_graphs) * t_std + t_mean

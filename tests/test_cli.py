@@ -157,12 +157,28 @@ class TestTrainPredict:
         assert warned.out == quiet.out and len(quiet.out.strip().splitlines()) == 4
 
 
-class TestBench:
-    def test_reports_throughput(self, capsys):
-        assert main(["bench", "--n", "3", "--seed", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "crystals/s" in out
-        assert "radius" in out and "tfc" in out
+class TestRunConfig:
+    TINY = ("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
+            "model.readout_hidden=4\ntrain.epochs=1\ntrain.batch_size=4\n")
+
+    def train_with(self, tmp_path, extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.TINY + extra)
+        return main(["train", "--synthetic", "4", "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
+                     "--val-fraction", "0", "--test-fraction", "0"])
+
+    def test_misspelled_key_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"unknown run-config keys: \['model\.d_modle'\]"):
+            self.train_with(tmp_path, "model.d_modle=16\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_removed_key_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"unknown run-config keys: \['train\.grad_clip'\]"):
+            self.train_with(tmp_path, "train.grad_clip=1.0\n")
+
+    def test_bad_bool_value_is_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"model\.use_self_edges.*'maybe'"):
+            self.train_with(tmp_path, "model.use_self_edges=maybe\n")
 
 
 class TestUsageErrors:
