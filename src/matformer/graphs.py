@@ -96,6 +96,8 @@ def image_bound(lattice: np.ndarray, r: float) -> tuple[int, int, int]:
 
     Every image displacement of length <= r has |k_i| <= K_i + 1; the +1
     absorbs atoms sitting anywhere in the cell rather than at the origin.
+    Only the kNN negative control's naive scan still uses this loose box;
+    ``neighbor_candidates`` scans a tighter one.
     """
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
@@ -103,9 +105,7 @@ def image_bound(lattice: np.ndarray, r: float) -> tuple[int, int, int]:
     return tuple(int(math.ceil(r / d)) for d in spacings)
 
 
-# Budget for the float64 image grid of one ``neighbor_candidates`` call.
-# Computing the distances takes about three times the grid at peak, so a
-# larger grid would exhaust a desk machine instead of failing.
+# Budget for the peak memory of one ``neighbor_candidates`` call.
 MAX_GRID_BYTES = 1 << 30
 
 
@@ -117,21 +117,32 @@ def neighbor_candidates(crystal: Crystal, r: float, dst=None, src=None):
     where ``image`` (E, 3) is the integer lattice offset of the source image.
     The zero self pair (an atom with itself at zero offset) is left out.
 
-    Enumerates a box guaranteed to contain all images within ``r``.  Works
-    for arbitrary (unwrapped) fractional coordinates: a per-pair integer
-    base offset recenters the difference vector before scanning.  Raises
-    ``ValueError`` before allocating when the box exceeds ``MAX_GRID_BYTES``.
+    Works for arbitrary (unwrapped) fractional coordinates: a per-pair
+    integer base offset recentres each fractional difference into
+    [-0.5, 0.5).  A displacement with fractional components ``f`` is at
+    least ``|f_i| * spacing_i`` long (its projection on the normal of the
+    planes spanned by the other two axes), so an image within ``r`` has
+    ``|k_i| <= r / spacing_i + 0.5``, and the scan covers
+    ``K_i = floor(r / spacing_i + 0.5)`` each way (plus 1e-9, so rounding
+    in the spacings cannot drop an image at exactly ``r``).  Raises
+    ``ValueError`` before allocating when the estimated peak exceeds
+    ``MAX_GRID_BYTES``: about 2.8 times the float64 image grid, since the
+    grid's product with the lattice, the squares inside ``np.linalg.norm``
+    and the distances are alive together.
     """
     n = crystal.n_atoms
     dst = np.arange(n) if dst is None else np.asarray(dst, dtype=int)
     src = np.arange(n) if src is None else np.asarray(src, dtype=int)
-    axes = [np.arange(-(k + 1), k + 2) for k in image_bound(crystal.lattice, r)]
-    offs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    grid_bytes = dst.size * src.size * offs.shape[0] * 3 * 8
-    if grid_bytes > MAX_GRID_BYTES:
+    if r <= 0:
+        raise ValueError(f"radius must be positive, got {r}")
+    bound = np.floor(r / interplanar_spacings(crystal.lattice) + 0.5 + 1e-9).astype(int)
+    offs = np.stack(np.meshgrid(*(np.arange(-k, k + 1) for k in bound), indexing="ij"), axis=-1).reshape(-1, 3)
+    # eight float64s and three bool masks per (dst, src, offset) triple at peak
+    peak_bytes = dst.size * src.size * offs.shape[0] * (8 * 8 + 3)
+    if peak_bytes > MAX_GRID_BYTES:
         raise ValueError(
-            f"neighbor search over {n} atoms at r={r:.3f} would need a {grid_bytes / 2**20:.0f} MiB "
-            f"image grid (limit {MAX_GRID_BYTES / 2**20:.0f} MiB)"
+            f"neighbor search over {n} atoms at r={r:.3f} would need {peak_bytes / 2**20:.0f} MiB "
+            f"for its image grid (limit {MAX_GRID_BYTES / 2**20:.0f} MiB)"
         )
     frac = crystal.frac_coords
     diff = frac[src][None, :, :] - frac[dst][:, None, :]  # f_src - f_dst
@@ -183,11 +194,12 @@ def _rank_distances(dst: np.ndarray, dist: np.ndarray, rank: int) -> np.ndarray:
 def _neighbor_edges(dst, src, image, dist) -> tuple[Edge, ...]:
     """Neighbor edges from candidate columns, in canonical edge order."""
     order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dist, src, dst))
+    # one frozen LatticeImage per distinct offset, shared by its edges
+    offsets, which = np.unique(image[order], axis=0, return_inverse=True)
+    images = [LatticeImage(k) for k in offsets.tolist()]
     return tuple(
-        Edge(src=s, dst=d, distance=x, image=LatticeImage(k))
-        for d, s, x, k in zip(
-            dst[order].tolist(), src[order].tolist(), dist[order].tolist(), image[order].tolist()
-        )
+        Edge(src=s, dst=d, distance=x, image=images[w])
+        for d, s, x, w in zip(dst[order].tolist(), src[order].tolist(), dist[order].tolist(), which.tolist())
     )
 
 
@@ -298,14 +310,14 @@ def add_self_connecting_edges(graph: CrystalGraph, crystal: Crystal) -> CrystalG
         raise ValueError(f"graph method {graph.meta.method!r} has no per-node radius for dedup")
     if graph.n_nodes != crystal.n_atoms:
         raise ValueError("graph was not built from this crystal")
-    candidates = self_connecting_distances(crystal.lattice)
+    candidates = [(LatticeImage(k), d) for k, d in self_connecting_distances(crystal.lattice)]
     new_edges = list(graph.edges)
     for i in range(graph.n_nodes):
         radius_i = graph.meta.node_radii[i]
-        for k, d in candidates:
+        for image, d in candidates:
             if d <= radius_i + DIST_TOL:
                 continue
-            new_edges.append(Edge(src=i, dst=i, distance=d, image=LatticeImage(k), kind=SELF_CONNECTING))
+            new_edges.append(Edge(src=i, dst=i, distance=d, image=image, kind=SELF_CONNECTING))
     new_edges.sort(key=_edge_sort_key)
     return CrystalGraph(
         node_atomic_numbers=graph.node_atomic_numbers,

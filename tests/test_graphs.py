@@ -120,17 +120,35 @@ class TestNeighborCandidates:
         for a, b in zip(neighbor_candidates(crystal, r, [i], [j]), full):
             assert np.array_equal(a, b[pair])
 
-    def test_large_cell_raises_before_allocating(self):
+    @staticmethod
+    def big_cell():
         base = crystal_from_frac([6, 8, 8], [[0, 0, 0], [0.3, 0.3, 0.3], [0.6, 0.7, 0.2]], 2.5 * np.eye(3))
-        big = supercell(base, (7, 7, 7))
+        return supercell(base, (7, 7, 7))
+
+    def test_large_cell_raises_before_allocating(self):
+        # a 686 MiB image grid: under the limit itself, but about 1.8 GiB at peak
+        big = self.big_cell()
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"1029 atoms at r=.* MiB image grid"):
-                build_radius_graph(big)
+            with pytest.raises(ValueError, match=r"1029 atoms at r=20.000 .* MiB for its image grid"):
+                neighbor_candidates(big, 20.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_large_cell_radius_graph_fits(self):
+        # the 12-neighbor radius needs only the zero offset of a 17.5 A cell
+        big = self.big_cell()
+        tracemalloc.start()
+        try:
+            graph = build_radius_graph(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+        assert graph.n_nodes == 1029
+        assert min(np.bincount(graph.edge_arrays()[1], minlength=1029)) >= 12
 
 
 class TestImageDistances:
