@@ -133,21 +133,22 @@ class AuditReport:
 def _tally(name: str, outcomes, tol: float) -> AuditReport:
     """Report on ``(crystal, transform, discrepancy)`` trial outcomes.
 
-    A trial violates when its discrepancy exceeds ``tol``.  The worst
-    discrepancy is clamped to the largest float, and the first violating
-    trial is the witness.
+    A trial violates when its discrepancy exceeds ``tol``.  Discrepancies
+    are clamped to the largest float, so the report is strict JSON even
+    after a structural mismatch (an infinite discrepancy), and the first
+    violating trial is the witness.
     """
     trials = violations = 0
     worst = 0.0
     witness = None
     for crystal, transform, disc in outcomes:
         trials += 1
-        worst = max(worst, min(disc, np.finfo(float).max))
+        disc = float(min(disc, np.finfo(float).max))
+        worst = max(worst, disc)
         if disc > tol:
             violations += 1
             if witness is None:
-                witness = {"crystal": crystal_to_dict(crystal), "transform": transform,
-                           "discrepancy": float(disc)}
+                witness = {"crystal": crystal_to_dict(crystal), "transform": transform, "discrepancy": disc}
     return AuditReport(name, trials, violations, float(worst), witness)
 
 

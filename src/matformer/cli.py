@@ -75,7 +75,7 @@ def cmd_audit(args) -> int:
         report = audit_mod.audit_e3_invariance(
             builder, crystals, args.trials, args.seed, name=args.builder
         )
-    payload = json.dumps(asdict(report), indent=1)
+    payload = json.dumps(asdict(report), indent=1, allow_nan=False)
     if args.out:
         io.atomic_write(args.out, payload)
     print(

@@ -84,6 +84,25 @@ class TestAudit:
         assert report["violations"] >= 1
         assert report["witness"]["transform"]["type"] == "periodic"
 
+    def test_structural_mismatch_report_is_strict_json(self, tmp_path):
+        from matformer.audit import shift_sensitive_crystal
+
+        d = tmp_path / "adversarial"
+        d.mkdir()
+        (d / "shifty.json").write_text(io.write_crystal_json(shift_sensitive_crystal()))
+        out = tmp_path / "r.json"
+        code = main(
+            ["audit", str(d), "--builder", "ocgraph", "--radius", "0.5",
+             "--trials", "4", "--no-supercell", "--out", str(out)]
+        )
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["witness"]["discrepancy"] == report["worst_discrepancy"] == np.finfo(float).max
+
     def test_e3_mode(self, corpus_dir):
         assert main(["audit", corpus_dir, "--builder", "tfc", "--mode", "e3", "--trials", "3"]) == 0
 
