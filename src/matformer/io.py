@@ -322,16 +322,20 @@ def write_training_log_csv(log: list[dict]) -> str:
 
 
 def parse_run_config(text: str) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment."""
+    """Flat key=value lines; '#' starts a comment.  A key may appear once."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(lineno, f"expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ParseError(lineno, f"duplicate key {key!r}, first set on line {seen[key]}")
+        seen[key] = lineno
+        out[key] = value
     return out
 
 

@@ -227,6 +227,11 @@ class TestRunConfig:
         with pytest.raises(io.ParseError, match="key=value"):
             io.parse_run_config("lr 0.001\n")
 
+    def test_rejects_duplicate_keys(self):
+        text = "train.epochs=2\n# again\ntrain.epochs = 3\n"
+        with pytest.raises(io.ParseError, match=r"line 3: duplicate key 'train.epochs', first set on line 1"):
+            io.parse_run_config(text)
+
 
 class TestAtomicWrite:
     def test_writes_and_leaves_no_temp(self, tmp_path):
