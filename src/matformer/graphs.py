@@ -194,9 +194,12 @@ def _rank_distances(dst: np.ndarray, dist: np.ndarray, rank: int) -> np.ndarray:
 def _neighbor_edges(dst, src, image, dist) -> tuple[Edge, ...]:
     """Neighbor edges from candidate columns, in canonical edge order."""
     order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dist, src, dst))
-    # one frozen LatticeImage per distinct offset, shared by its edges
-    offsets, which = np.unique(image[order], axis=0, return_inverse=True)
-    images = [LatticeImage(k) for k in offsets.tolist()]
+    image = image[order]
+    # one frozen LatticeImage per distinct offset (keyed by its index in the box)
+    shifted = image - image.min(axis=0, initial=0)
+    key = np.ravel_multi_index(shifted.T, shifted.max(axis=0, initial=0) + 1)
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    images = [LatticeImage(k) for k in image[first].tolist()]
     return tuple(
         Edge(src=s, dst=d, distance=x, image=images[w])
         for d, s, x, w in zip(dst[order].tolist(), src[order].tolist(), dist[order].tolist(), which.tolist())

@@ -388,3 +388,18 @@ class TestGraphStructure:
         g = add_self_connecting_edges(build_radius_graph(c, neighbor_rank=8), c)
         kinds = {e.kind for e in g.edges}
         assert kinds == {NEIGHBOR, SELF_CONNECTING}
+
+    def test_edges_share_one_image_per_offset(self):
+        # unwrapped positions far from the cell give offsets spanning a wide box
+        rng = np.random.default_rng(23)
+        c = random_crystal(rng, n_atoms=4)
+        shifts = [[-3000.0, 0.0, 40.0], [0.0, 2000.0, 0.0], [0.0, 0.0, 0.0], [7.0, -7.0, 7.0]]
+        far = crystal_from_frac(c.atomic_numbers, c.frac_coords + shifts, c.lattice)
+        for g in (add_self_connecting_edges(build_radius_graph(far), far), build_t_fully_connected(far, t=2)):
+            shared = {}
+            for e in g.edges:
+                shared.setdefault((e.kind, e.image.k), set()).add(id(e.image))
+            assert all(len(ids) == 1 for ids in shared.values())
+            dst, src, image, dist = neighbor_candidates(far, max(e.distance for e in g.edges) + 1e-6)
+            want = dict(zip(zip(dst.tolist(), src.tolist(), map(tuple, image.tolist())), dist.tolist()))
+            assert all(want[e.dst, e.src, e.image.k] == e.distance for e in g.edges if e.kind == NEIGHBOR)
