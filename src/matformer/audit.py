@@ -63,29 +63,25 @@ def graph_signature(graph: CrystalGraph) -> tuple:
     return tuple(sorted((int(z[i]), sigs[i]) for i in range(graph.n_nodes)))
 
 
-def _compare_node_sig(sig_a: tuple, sig_b: tuple) -> float:
-    """Max distance discrepancy, or inf on any structural mismatch."""
-    if len(sig_a) != len(sig_b):
-        return np.inf
+def _max_node_discrepancy(pairs) -> float:
+    """Max distance discrepancy over ``((z_a, sig_a), (z_b, sig_b))`` node
+    pairs, or inf on any structural mismatch (species, edge count, kind or
+    source species)."""
     worst = 0.0
-    for (_, ka, za, da), (_, kb, zb, db) in zip(sig_a, sig_b):
-        if ka != kb or za != zb:
+    for (za, na), (zb, nb) in pairs:
+        if za != zb or len(na) != len(nb):
             return np.inf
-        worst = max(worst, abs(da - db))
+        for (_, ka, sa, da), (_, kb, sb, db) in zip(na, nb):
+            if ka != kb or sa != sb:
+                return np.inf
+            worst = max(worst, abs(da - db))
     return worst
 
 
 def signature_discrepancy(sig_a: tuple, sig_b: tuple) -> float:
     if len(sig_a) != len(sig_b):
         return np.inf
-    worst = 0.0
-    for (za, na), (zb, nb) in zip(sig_a, sig_b):
-        if za != zb:
-            return np.inf
-        worst = max(worst, _compare_node_sig(na, nb))
-        if worst == np.inf:
-            break
-    return worst
+    return _max_node_discrepancy(zip(sig_a, sig_b))
 
 
 def quotient_discrepancy(base_graph: CrystalGraph, super_graph: CrystalGraph, n_base: int) -> float:
@@ -97,19 +93,9 @@ def quotient_discrepancy(base_graph: CrystalGraph, super_graph: CrystalGraph, n_
     """
     if super_graph.n_nodes % n_base != 0 or base_graph.n_nodes != n_base:
         return np.inf
-    base_sigs = node_signatures(base_graph)
-    super_sigs = node_signatures(super_graph)
-    base_z = base_graph.node_atomic_numbers
-    super_z = super_graph.node_atomic_numbers
-    worst = 0.0
-    for s in range(super_graph.n_nodes):
-        o = s % n_base
-        if int(super_z[s]) != int(base_z[o]):
-            return np.inf
-        worst = max(worst, _compare_node_sig(base_sigs[o], super_sigs[s]))
-        if worst == np.inf:
-            break
-    return worst
+    base = list(zip(base_graph.node_atomic_numbers.tolist(), node_signatures(base_graph)))
+    nodes = zip(super_graph.node_atomic_numbers.tolist(), node_signatures(super_graph))
+    return _max_node_discrepancy((base[s % n_base], node) for s, node in enumerate(nodes))
 
 
 # --- audit harness ------------------------------------------------------------
@@ -277,7 +263,8 @@ def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int =
         # depends on the cell description, which is the whole pitfall
         cand = []
         for j in range(n):
-            centre = np.floor(frac[j] - frac[i] + 0.5).astype(int)
+            # the images of j nearest i sit near k = frac[i] - frac[j]
+            centre = np.floor(frac[i] - frac[j] + 0.5).astype(int)
             for k1 in range(centre[0] - bound[0] - 1, centre[0] + bound[0] + 2):
                 for k2 in range(centre[1] - bound[1] - 1, centre[1] + bound[1] + 2):
                     for k3 in range(centre[2] - bound[2] - 1, centre[2] + bound[2] + 2):
@@ -384,14 +371,9 @@ def explicit_line_graph_size(edges: list[tuple[int, int]]) -> tuple[int, int]:
 def make_builder(name: str, *, neighbor_rank: int = 12, t: int = 3, self_edges: bool = False,
                  radius: float = 1.0, k: int = 12, perturbation_seed: int = 0) -> GraphBuilder:
     """Named graph builders for the CLI and the audit harness."""
-    if name == "radius":
+    if name in ("radius", "tfc"):
         def build(c: Crystal) -> CrystalGraph:
-            g = build_radius_graph(c, neighbor_rank=neighbor_rank)
-            return add_self_connecting_edges(g, c) if self_edges else g
-        return build
-    if name == "tfc":
-        def build(c: Crystal) -> CrystalGraph:
-            g = build_t_fully_connected(c, t=t)
+            g = build_radius_graph(c, neighbor_rank=neighbor_rank) if name == "radius" else build_t_fully_connected(c, t=t)
             return add_self_connecting_edges(g, c) if self_edges else g
         return build
     if name == "ocgraph":

@@ -58,10 +58,6 @@ class LatticeImage:
             raise ValueError(f"lattice image must be 3 integers, got {self.k!r}")
         object.__setattr__(self, "k", k)
 
-    def vector(self, lattice: np.ndarray) -> np.ndarray:
-        """Cartesian offset ``k1*l1 + k2*l2 + k3*l3``."""
-        return np.asarray(self.k, dtype=float) @ np.asarray(lattice, dtype=float)
-
 
 @dataclass(frozen=True)
 class E3Transform:
@@ -84,10 +80,6 @@ class E3Transform:
         b.setflags(write=False)
         object.__setattr__(self, "rotation", q)
         object.__setattr__(self, "translation", b)
-
-    @classmethod
-    def identity(cls) -> "E3Transform":
-        return cls(np.eye(3), np.zeros(3))
 
 
 @dataclass(frozen=True)

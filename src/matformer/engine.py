@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CHECK_FINITE = True
-
 
 def _finite(values: np.ndarray, op: str) -> np.ndarray:
-    if CHECK_FINITE and not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         raise FloatingPointError(f"non-finite values produced by {op}")
     return values
 

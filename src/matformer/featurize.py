@@ -1,10 +1,11 @@
 """Numeric node and edge features for crystal graphs.
 
-Atoms become one-hot vectors over atomic number followed by a learned
-linear map; edge distances expand onto a grid of Gaussian radial basis
-kernels followed by a nonlinear layer and a linear layer.  Because edge
-features depend on the distance alone, every invariance of the graph
-construction carries over to the featurized graph.
+Each atom reads the row of a learned (119, d) table at its atomic number,
+the same values as a one-hot vector over atomic number times that table;
+edge distances expand onto a grid of Gaussian radial basis kernels
+followed by a nonlinear layer and a linear layer.  Because edge features
+depend on the distance alone, every invariance of the graph construction
+carries over to the featurized graph.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import engine
 from .engine import Tensor
 from .graphs import CrystalGraph
 
-ATOM_DIM = 119  # one-hot over atomic number, index 0 unused
+ATOM_DIM = 119  # rows of the atom table, one per atomic number, row 0 unused
 
 
 def rbf_expand(d, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0) -> np.ndarray:
@@ -36,34 +37,15 @@ def rbf_expand(d, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0) -> np.
     return np.exp(-((d[..., None] - centers) ** 2) / width**2)
 
 
-def embed_atom(z: int, dim: int = ATOM_DIM) -> np.ndarray:
-    """One-hot embedding at index ``z``; distinct species are orthogonal."""
-    z = int(z)
-    if not 1 <= z <= 118:
-        raise ValueError(f"atomic number out of range: {z}")
-    out = np.zeros(dim)
-    out[z] = 1.0
-    return out
-
-
-def one_hot_atoms(atomic_numbers: np.ndarray, dim: int = ATOM_DIM) -> np.ndarray:
-    z = np.asarray(atomic_numbers, dtype=int)
-    if np.any(z < 1) or np.any(z > 118):
-        raise ValueError("atomic numbers must lie in [1, 118]")
-    out = np.zeros((z.size, dim))
-    out[np.arange(z.size), z] = 1.0
-    return out
-
-
 @dataclass
 class PreparedGraph:
-    """Constant per-graph inputs: one-hot atoms, RBF rows, edge index arrays.
+    """Constant per-graph inputs: atomic numbers, RBF rows, edge index arrays.
 
     ``graph_ids`` maps each node to its graph so disjoint-union batches can
     be pooled per graph.
     """
 
-    node_one_hot: np.ndarray          # (n, ATOM_DIM)
+    atomic_numbers: np.ndarray        # (n,)
     edge_rbf: np.ndarray              # (E, n_kernels)
     src: np.ndarray                   # (E,)
     dst: np.ndarray                   # (E,)
@@ -72,7 +54,7 @@ class PreparedGraph:
 
     @property
     def n_nodes(self) -> int:
-        return self.node_one_hot.shape[0]
+        return self.atomic_numbers.size
 
     @property
     def n_edges(self) -> int:
@@ -82,7 +64,7 @@ class PreparedGraph:
 def prepare_graph(graph: CrystalGraph, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0) -> PreparedGraph:
     src, dst, dist = graph.edge_arrays()
     return PreparedGraph(
-        node_one_hot=one_hot_atoms(graph.node_atomic_numbers),
+        atomic_numbers=graph.node_atomic_numbers,
         edge_rbf=rbf_expand(dist, n_kernels=n_kernels, lo=lo, hi=hi),
         src=src,
         dst=dst,
@@ -97,9 +79,9 @@ def batch_prepared(graphs: list[PreparedGraph]) -> PreparedGraph:
         raise ValueError("cannot batch zero graphs")
     node_offset = 0
     graph_offset = 0
-    one_hot, rbf, src, dst, gids = [], [], [], [], []
+    z, rbf, src, dst, gids = [], [], [], [], []
     for g in graphs:
-        one_hot.append(g.node_one_hot)
+        z.append(g.atomic_numbers)
         rbf.append(g.edge_rbf)
         src.append(g.src + node_offset)
         dst.append(g.dst + node_offset)
@@ -107,7 +89,7 @@ def batch_prepared(graphs: list[PreparedGraph]) -> PreparedGraph:
         node_offset += g.n_nodes
         graph_offset += g.n_graphs
     return PreparedGraph(
-        node_one_hot=np.concatenate(one_hot, axis=0),
+        atomic_numbers=np.concatenate(z),
         edge_rbf=np.concatenate(rbf, axis=0),
         src=np.concatenate(src),
         dst=np.concatenate(dst),
@@ -117,7 +99,7 @@ def batch_prepared(graphs: list[PreparedGraph]) -> PreparedGraph:
 
 
 class GraphEmbedding:
-    """Learned maps from one-hot atoms and RBF rows to model width."""
+    """Learned maps from atomic numbers and RBF rows to model width."""
 
     def __init__(self, d_model: int, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0,
                  activation: str = "silu", rng: np.random.Generator | None = None):
@@ -149,7 +131,8 @@ class GraphEmbedding:
         }
 
     def node_input(self, prepared: PreparedGraph) -> Tensor:
-        return engine.linear(Tensor(prepared.node_one_hot), self.node_w, self.node_b)
+        # bit for bit one_hot(z) @ node_w + node_b: each row's sum has one nonzero term
+        return engine.add(engine.gather_rows(self.node_w, prepared.atomic_numbers), self.node_b)
 
     def edge_input(self, prepared: PreparedGraph) -> Tensor:
         act = engine.ACTIVATIONS[self.activation]

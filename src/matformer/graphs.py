@@ -80,15 +80,12 @@ def _edge_sort_key(e: Edge):
 
 
 def interplanar_spacings(lattice: np.ndarray) -> np.ndarray:
-    """Spacing of lattice planes normal to each reciprocal direction."""
-    lattice = np.asarray(lattice, dtype=float)
-    vol = abs(np.linalg.det(lattice))
-    crosses = [
-        np.cross(lattice[1], lattice[2]),
-        np.cross(lattice[2], lattice[0]),
-        np.cross(lattice[0], lattice[1]),
-    ]
-    return np.array([vol / np.linalg.norm(c) for c in crosses])
+    """Spacing of lattice planes normal to each reciprocal direction.
+
+    The columns of the inverse lattice are the reciprocal vectors (without
+    the 2 pi), and the planes normal to one are its inverse length apart.
+    """
+    return 1.0 / np.linalg.norm(np.linalg.inv(np.asarray(lattice, dtype=float)), axis=0)
 
 
 def image_bound(lattice: np.ndarray, r: float) -> tuple[int, int, int]:

@@ -212,6 +212,9 @@ def graph_from_dict(data: dict) -> CrystalGraph:
         z = np.array([n["atomic_number"] for n in data["nodes"]], dtype=int)
     except (KeyError, TypeError, ValueError):
         raise ValueError("graph JSON nodes need an integer 'atomic_number' each") from None
+    bad = np.flatnonzero((z < 1) | (z > 118))
+    if bad.size:
+        raise ValueError(f"graph JSON node {bad[0]}: atomic number {z[bad[0]]} outside [1, 118]")
     edges = []
     for idx, e in enumerate(data["edges"]):
         try:

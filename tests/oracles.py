@@ -1,7 +1,8 @@
-"""Independent brute-force oracles for the geometry tests.
+"""Independent brute-force oracles for the geometry and embedding tests.
 
 These deliberately avoid the library's enumeration machinery: plain triple
-loops over a fixed image box, working on raw Cartesian positions.
+loops over a fixed image box, working on raw Cartesian positions, and the
+slow textbook forms of formulas the library computes another way.
 """
 
 import itertools
@@ -51,3 +52,19 @@ def distance_multiset(crystal, radius, kmax):
         for j in range(crystal.n_atoms):
             dists.extend(d for d, _ in brute_image_distances(crystal, i, j, kmax) if d <= radius)
     return sorted(dists)
+
+
+def cross_product_spacings(lattice):
+    """Interplanar spacings as cell volume over the area of each face."""
+    lattice = np.asarray(lattice, dtype=float)
+    vol = abs(np.linalg.det(lattice))
+    faces = [np.cross(lattice[1], lattice[2]), np.cross(lattice[2], lattice[0]), np.cross(lattice[0], lattice[1])]
+    return np.array([vol / np.linalg.norm(f) for f in faces])
+
+
+def one_hot_atoms(atomic_numbers, dim=119):
+    """(n, dim) rows with a single 1 at each atomic number."""
+    z = np.asarray(atomic_numbers, dtype=int)
+    out = np.zeros((z.size, dim))
+    out[np.arange(z.size), z] = 1.0
+    return out

@@ -18,7 +18,7 @@ from matformer.audit import (
     signature_discrepancy,
     tie_crystal,
 )
-from matformer.crystal import crystal_from_frac, shift_boundary, supercell
+from matformer.crystal import Crystal, crystal_from_frac, shift_boundary, supercell
 from matformer.graphs import CrystalGraph, Edge, GraphMeta, LatticeImage, build_radius_graph, build_t_fully_connected
 from matformer.synthetic import random_corpus
 
@@ -207,6 +207,20 @@ class TestKnn:
             name="knn",
         )
         assert report.violations >= 1
+
+    def test_unwrapped_description_finds_the_same_neighbors(self):
+        # O stored four cells away from its wrapped position at 0.6 A
+        lattice = 3.0 * np.eye(3)
+        wrapped = Crystal(np.array([6, 8]), np.array([[0.3, 0, 0], [0.6, 0, 0]]), lattice)
+        unwrapped = Crystal(np.array([6, 8]), np.array([[0.3, 0, 0], [12.6, 0, 0]]), lattice)
+
+        def per_node(c):
+            g = knn_distance_only_builder(c, k=4)
+            return [sorted(e.distance for e in g.edges if e.dst == i) for i in range(c.n_atoms)]
+
+        want = per_node(wrapped)
+        assert np.allclose(want[0], [0.3, 2.7, 3.0, 3.0])
+        assert np.allclose(per_node(unwrapped), want, rtol=0, atol=1e-9)
 
     def test_full_tie_groups_match_tfc(self):
         # single-atom cell, k covering the complete first shell: selection

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
+from matformer import engine
 from matformer.crystal import crystal_from_frac, shift_boundary
-from matformer.featurize import (
-    GraphEmbedding,
-    batch_prepared,
-    embed_atom,
-    one_hot_atoms,
-    prepare_graph,
-    rbf_expand,
-)
+from matformer.featurize import GraphEmbedding, batch_prepared, prepare_graph, rbf_expand
 from matformer.graphs import build_radius_graph
 from matformer.synthetic import random_crystal
+
+from oracles import one_hot_atoms
 
 
 def cubic(a=1.0, fracs=((0, 0, 0),), zs=None):
@@ -73,30 +69,6 @@ class TestRbfExpand:
             rbf_expand(np.array([-0.1]))
 
 
-class TestEmbedAtom:
-    def test_hydrogen(self):
-        v = embed_atom(1)
-        assert v[1] == 1.0 and v.sum() == 1.0 and v.size == 119
-
-    def test_oganesson(self):
-        v = embed_atom(118)
-        assert v[118] == 1.0 and v.sum() == 1.0
-
-    def test_orthogonality(self):
-        assert np.dot(embed_atom(5), embed_atom(6)) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            embed_atom(0)
-        with pytest.raises(ValueError):
-            embed_atom(119)
-
-    def test_one_hot_matrix(self):
-        m = one_hot_atoms(np.array([1, 6, 6]))
-        assert m.shape == (3, 119)
-        assert np.array_equal(m[1], m[2])
-
-
 class TestFeaturizeGraph:
     def test_zero_weights_give_zero_features(self):
         graph = build_radius_graph(cubic())
@@ -154,3 +126,31 @@ class TestBatching:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             batch_prepared([])
+
+
+class TestAtomLookup:
+    """The row lookup against the one-hot product it replaces."""
+
+    def batch(self):
+        species = (([8, 1, 1], [[0, 0, 0], [0.3, 0, 0], [0, 0.6, 0]]), ([26, 8], [[0, 0, 0], [0.5, 0.5, 0.5]]))
+        graphs = [build_radius_graph(crystal_from_frac(zs, fracs, 3.0 * np.eye(3))) for zs, fracs in species]
+        return batch_prepared([prepare_graph(g, n_kernels=8) for g in graphs])
+
+    def test_rows_equal_one_hot_product(self):
+        batch = self.batch()
+        emb = GraphEmbedding(d_model=8, n_kernels=8, rng=np.random.default_rng(6))
+        emb.node_b.values = np.random.default_rng(7).standard_normal(8)
+        got = emb.node_input(batch).values
+        assert np.array_equal(got, one_hot_atoms(batch.atomic_numbers) @ emb.node_w.values + emb.node_b.values)
+        # one distinct row per species, shared by repeated species
+        assert np.array_equal(got[1], got[2]) and np.array_equal(got[0], got[4])
+        assert len({row.tobytes() for row in got}) == 3
+
+    def test_table_gradient_equals_one_hot_transpose(self):
+        batch = self.batch()
+        emb = GraphEmbedding(d_model=8, n_kernels=8, rng=np.random.default_rng(8))
+        g = np.random.default_rng(9).standard_normal((batch.n_nodes, 8))
+        engine.tensor_sum(engine.mul(emb.node_input(batch), g)).backward()
+        want = one_hot_atoms(batch.atomic_numbers).T @ g
+        assert np.allclose(emb.node_w.grad, want, rtol=0, atol=1e-12)
+        assert np.allclose(emb.node_b.grad, g.sum(axis=0), rtol=0, atol=1e-12)

@@ -22,7 +22,7 @@ from matformer.graphs import (
     self_connecting_distances,
 )
 from matformer.synthetic import lattice_from_parameters, random_crystal
-from oracles import brute_adaptive_radius, brute_image_distances, brute_radius_edges
+from oracles import brute_adaptive_radius, brute_image_distances, brute_radius_edges, cross_product_spacings
 
 HEX_LATTICE = np.array([[1.0, 0.0, 0.0], [-0.5, np.sqrt(3) / 2, 0.0], [0.0, 0.0, 2.0]])
 
@@ -85,6 +85,14 @@ def triclinic_cases(draw):
     corner = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(3)]) @ lattice
     r = draw(st.floats(0.3, 2.5)) * interplanar_spacings(lattice).min()
     return shift_boundary(crystal, corner), r
+
+
+@given(triclinic_cases())
+@settings(max_examples=60, deadline=None)
+def test_spacings_match_cross_product_formula(case):
+    lattice = case[0].lattice
+    want = cross_product_spacings(lattice)
+    assert np.allclose(interplanar_spacings(lattice), want, rtol=1e-12, atol=0)
 
 
 class TestNeighborCandidates:

@@ -174,6 +174,13 @@ class TestGraphSerialization:
         with pytest.raises(ValueError, match="atomic_number"):
             io.graph_from_dict(data)
 
+    def test_rejects_atomic_number_out_of_range(self):
+        for z in (0, -1, 119):
+            data = json.loads(io.graph_to_json(self._graph()[0]))
+            data["nodes"].append({"atomic_number": z})
+            with pytest.raises(ValueError, match=rf"node 1: atomic number {z} outside \[1, 118\]"):
+                io.graph_from_dict(data)
+
     def test_rejects_missing_meta(self):
         data = json.loads(io.graph_to_json(self._graph()[0]))
         del data["meta"]["method"]
