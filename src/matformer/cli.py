@@ -201,9 +201,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with open(args.checkpoint, "r", encoding="utf-8") as fh:
-        checkpoint = json.load(fh)
-    model = Matformer.from_checkpoint(checkpoint)
+    try:
+        with open(args.checkpoint, "r", encoding="utf-8") as fh:
+            checkpoint = json.load(fh)
+        model = Matformer.from_checkpoint(checkpoint)
+    except ValueError as err:  # includes JSONDecodeError and UnicodeDecodeError
+        raise SystemExit(f"cannot load checkpoint {args.checkpoint}: {err}") from None
     scale = checkpoint.get("target_scale")
     if scale is None:
         print("warning: checkpoint has no target_scale; predictions are in normalized units "

@@ -9,6 +9,9 @@ validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import base64
+import binascii
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,20 +404,26 @@ class BatchNormState:
 
     def to_dict(self) -> dict:
         return {
-            "running_mean": self.running_mean.tolist(),
-            "running_var": self.running_var.tolist(),
+            "running_mean": _array_to_dict(self.running_mean),
+            "running_var": _array_to_dict(self.running_var),
             "momentum": self.momentum,
             "num_batches": self.num_batches,
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BatchNormState":
-        return cls(
-            np.asarray(d["running_mean"], dtype=float),
-            np.asarray(d["running_var"], dtype=float),
-            float(d["momentum"]),
-            int(d["num_batches"]),
-        )
+    def from_dict(cls, d: dict, name: str = "batch-norm state") -> "BatchNormState":
+        """Inverse of ``to_dict``; version 1 stored the statistics as bare lists."""
+        keys = ("running_mean", "running_var", "momentum", "num_batches")
+        missing = [key for key in keys if key not in d] if isinstance(d, dict) else list(keys)
+        if missing:
+            raise ValueError(f"checkpoint entry {name}: missing {missing}")
+
+        def stat(key):
+            if isinstance(d[key], list):
+                return np.asarray(d[key], dtype=float)
+            return _array_from_dict(d[key], f"{name}.{key}")
+
+        return cls(stat("running_mean"), stat("running_var"), float(d["momentum"]), int(d["num_batches"]))
 
 
 def batch_norm(a, gamma, beta, state: BatchNormState, training: bool, eps: float = 1e-5) -> Tensor:
@@ -546,12 +555,38 @@ def linear(x, weight, bias=None) -> Tensor:
 # --- parameter checkpointing -------------------------------------------------
 
 
+def _array_to_dict(values: np.ndarray) -> dict:
+    """{shape, base64 of the row-major little-endian f8 bytes}; every bit
+    survives JSON, and writing or parsing it is far cheaper than decimals."""
+    data = base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+    return {"shape": list(values.shape), "data": data}
+
+
+def _array_from_dict(entry, name: str) -> np.ndarray:
+    """Inverse of ``_array_to_dict``; ``{shape, values}`` is version 1's
+    row-major decimal list.  Raises ValueError naming ``name``."""
+    if not isinstance(entry, dict) or "shape" not in entry or not ({"data", "values"} & set(entry)):
+        raise ValueError(f"checkpoint entry {name}: need 'shape' and 'data'")
+    shape = tuple(entry["shape"]) if isinstance(entry["shape"], list) else None
+    if shape is None or not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise ValueError(f"checkpoint entry {name}: shape {entry['shape']!r} is not a list of sizes")
+    if "values" in entry:
+        return np.asarray(entry["values"], dtype=float).reshape(shape)
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (binascii.Error, TypeError) as err:
+        raise ValueError(f"checkpoint entry {name}: data is not base64 ({err})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(
+            f"checkpoint entry {name}: {len(raw)} bytes of data for shape {list(shape)}, "
+            f"which needs {8 * math.prod(shape)}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
 def parameters_to_dict(params: dict[str, Tensor]) -> dict:
-    """Name -> {shape, row-major values}; floats survive JSON exactly."""
-    return {
-        name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
-        for name, t in params.items()
-    }
+    """Name -> {shape, base64 little-endian f8 data}."""
+    return {name: _array_to_dict(t.values) for name, t in params.items()}
 
 
 def load_parameter_values(params: dict[str, Tensor], data: dict) -> None:
@@ -561,7 +596,7 @@ def load_parameter_values(params: dict[str, Tensor], data: dict) -> None:
     if missing or extra:
         raise ValueError(f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
     for name, entry in data.items():
-        arr = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
+        arr = _array_from_dict(entry, name)
         if arr.shape != params[name].values.shape:
             raise ValueError(f"shape mismatch for {name}")
         params[name].values = arr

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -223,9 +224,10 @@ def graph_from_dict(data: dict) -> CrystalGraph:
                 raise ValueError(f"unknown kind {kind!r}")
             if not (0 <= src < z.size and 0 <= dst < z.size):
                 raise ValueError(f"node index out of range for {z.size} nodes")
-            edges.append(
-                Edge(src=src, dst=dst, distance=float(e["distance"]), image=LatticeImage(e["image"]), kind=kind)
-            )
+            distance = float(e["distance"])
+            if not (math.isfinite(distance) and distance >= 0.0):
+                raise ValueError(f"distance {distance!r} is not a finite non-negative number")
+            edges.append(Edge(src=src, dst=dst, distance=distance, image=LatticeImage(e["image"]), kind=kind))
         except KeyError as err:
             raise ValueError(f"graph JSON edge {idx}: missing field {err}") from None
         except (TypeError, ValueError) as err:

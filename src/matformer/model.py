@@ -29,6 +29,9 @@ from .featurize import GraphEmbedding, PreparedGraph, prepare_graph
 
 ATTENTION_VARIANTS = ("sigmoid_norm", "softmax_scalar", "softmax_vector")
 
+# version 1 had no format_version field and stored arrays as decimal lists
+CHECKPOINT_VERSION = 2
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -248,6 +251,7 @@ class Matformer:
 
     def to_checkpoint(self) -> dict:
         return {
+            "format_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "params": engine.parameters_to_dict(self.parameters()),
             "bn_states": [layer.bn_state.to_dict() for layer in self.layers],
@@ -255,6 +259,21 @@ class Matformer:
 
     @classmethod
     def from_checkpoint(cls, data: dict) -> "Matformer":
+        """Rebuild a model from ``to_checkpoint``'s dict, or from a version 1
+        one (no ``format_version``; arrays as decimal ``values`` lists)."""
+        if not isinstance(data, dict):
+            raise ValueError(f"checkpoint must be a JSON object, got {type(data).__name__}")
+        version = data.get("format_version", 1)
+        if isinstance(version, bool) or version not in (1, CHECKPOINT_VERSION):
+            raise ValueError(
+                f"unsupported checkpoint format_version {version!r}; this version reads 1 and {CHECKPOINT_VERSION}"
+            )
+        missing = [key for key in ("config", "params", "bn_states") if key not in data]
+        if missing:
+            raise ValueError(f"checkpoint is missing field(s) {missing}")
+        if not (isinstance(data["config"], dict) and isinstance(data["params"], dict)
+                and isinstance(data["bn_states"], list)):
+            raise ValueError("checkpoint 'config' and 'params' must be objects and 'bn_states' a list")
         unknown = sorted(set(data["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ValueError(f"checkpoint config has unknown keys: {unknown}")
@@ -264,6 +283,6 @@ class Matformer:
                 f"checkpoint has {len(data['bn_states'])} batch-norm states for {len(model.layers)} layers"
             )
         engine.load_parameter_values(model.parameters(), data["params"])
-        for layer, state in zip(model.layers, data["bn_states"]):
-            layer.bn_state = BatchNormState.from_dict(state)
+        for idx, (layer, state) in enumerate(zip(model.layers, data["bn_states"])):
+            layer.bn_state = BatchNormState.from_dict(state, f"bn_states[{idx}]")
         return model

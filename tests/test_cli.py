@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,30 @@ class TestTrainPredict:
         quiet = capsys.readouterr()
         assert quiet.err == ""
         assert warned.out == quiet.out and len(quiet.out.strip().splitlines()) == 4
+
+
+class TestPredictCheckpoint:
+    def write_checkpoint(self, tmp_path, text):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_truncated_checkpoint_exits_naming_the_path(self, corpus_dir, tmp_path):
+        text = json.dumps(Matformer(ModelConfig(n_layers=1, d_model=4, rbf_kernels=4), seed=3).to_checkpoint())
+        path = self.write_checkpoint(tmp_path, text[: len(text) // 2])
+        with pytest.raises(SystemExit, match=f"cannot load checkpoint {re.escape(path)}: Unterminated string"):
+            main(["predict", "--checkpoint", path, "--data", corpus_dir])
+
+    def test_invalid_checkpoint_exits_naming_the_path(self, corpus_dir, tmp_path):
+        path = self.write_checkpoint(tmp_path, json.dumps({"format_version": 7}))
+        with pytest.raises(SystemExit, match=f"cannot load checkpoint {re.escape(path)}: .*format_version 7"):
+            main(["predict", "--checkpoint", path, "--data", corpus_dir])
+
+    def test_version_1_checkpoint_predicts(self, corpus_dir, capsys):
+        fixture = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
+        assert main(["predict", "--checkpoint", fixture, "--data", corpus_dir]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 3 and all(np.isfinite(float(row.split(",")[1])) for row in rows)
 
 
 class TestRunConfig:

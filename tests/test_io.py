@@ -162,6 +162,13 @@ class TestGraphSerialization:
         with pytest.raises(ValueError, match=r"edge 5: unknown kind 'bogus'"):
             io.graph_from_dict(data)
 
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf"), -1.5])
+    def test_rejects_non_finite_or_negative_distance(self, distance):
+        data = json.loads(io.graph_to_json(self._graph()[0]))
+        data["edges"][4]["distance"] = distance
+        with pytest.raises(ValueError, match=r"edge 4: distance .* is not a finite non-negative number"):
+            io.graph_from_dict(data)
+
     def test_rejects_edge_to_missing_node(self):
         data = json.loads(io.graph_to_json(self._graph()[0]))
         data["edges"][2]["dst"] = len(data["nodes"])

@@ -1,3 +1,7 @@
+import base64
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -326,6 +330,80 @@ class TestCheckpoint:
         data = Matformer(SMALL, seed=6).to_checkpoint()
         data["config"].update(n_layer=3, dropout=0.1)
         with pytest.raises(ValueError, match=r"unknown keys: \['dropout', 'n_layer'\]"):
+            Matformer.from_checkpoint(data)
+
+
+CHECKPOINT_V1 = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
+
+
+def v1_crystal():
+    lattice = np.array([[3.1, 0.2, 0.0], [0.1, 2.9, 0.3], [0.0, 0.4, 3.3]])
+    return crystal_from_frac([3, 8], [[0.0, 0.0, 0.0], [0.45, 0.52, 0.48]], lattice)
+
+
+class TestCheckpointFormat:
+    def test_version_1_file_predicts_as_when_written(self):
+        # written by the decimal-list (version 1) code after one training-mode
+        # forward on v1_crystal(); the prediction is the one recorded then
+        with open(CHECKPOINT_V1, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        assert "format_version" not in data and "values" in data["params"]["readout.w1"]
+        model = Matformer.from_checkpoint(data)
+        assert model.predict(v1_crystal()) == float.fromhex("-0x1.88108dd728bd4p-1")
+
+    def test_version_2_stores_little_endian_f8_bytes(self):
+        model = Matformer(SMALL, seed=6)
+        data = model.to_checkpoint()
+        assert data["format_version"] == 2
+        entry = data["params"]["readout.w1"]
+        assert entry["shape"] == [8, 8]
+        assert base64.b64decode(entry["data"]) == model.readout_w1.values.astype("<f8").tobytes()
+
+    def test_moved_batch_norm_statistics_survive_exactly(self):
+        model = Matformer(SMALL, seed=6)
+        model.forward(model.prepare(v1_crystal()), training=True)
+        fresh = engine.BatchNormState.create(SMALL.d_model)
+        for layer in model.layers:
+            assert not np.array_equal(layer.bn_state.running_mean, fresh.running_mean)
+            assert not np.array_equal(layer.bn_state.running_var, fresh.running_var)
+        clone = Matformer.from_checkpoint(json.loads(json.dumps(model.to_checkpoint())))
+        for a, b in zip(model.layers, clone.layers):
+            assert np.array_equal(a.bn_state.running_mean, b.bn_state.running_mean)
+            assert np.array_equal(a.bn_state.running_var, b.bn_state.running_var)
+            assert (a.bn_state.momentum, a.bn_state.num_batches) == (b.bn_state.momentum, b.bn_state.num_batches)
+
+    @pytest.mark.parametrize("version", [3, 0, "2", None], ids=["3", "0", "string-2", "null"])
+    def test_unknown_version_rejected(self, version):
+        data = Matformer(SMALL, seed=6).to_checkpoint()
+        data["format_version"] = version
+        with pytest.raises(ValueError, match=rf"unsupported checkpoint format_version {version!r}"):
+            Matformer.from_checkpoint(data)
+
+    def test_empty_object_names_missing_field(self):
+        with pytest.raises(ValueError, match=r"missing field\(s\) \['config', 'params', 'bn_states'\]"):
+            Matformer.from_checkpoint({})
+
+    def test_config_only_names_missing_fields(self):
+        with pytest.raises(ValueError, match=r"missing field\(s\) \['params', 'bn_states'\]"):
+            Matformer.from_checkpoint({"config": {}})
+
+    def test_short_data_names_the_parameter(self):
+        data = Matformer(SMALL, seed=6).to_checkpoint()
+        entry = data["params"]["layer1.merge.b"]
+        entry["data"] = base64.b64encode(base64.b64decode(entry["data"])[:-8]).decode("ascii")
+        with pytest.raises(ValueError, match=r"layer1\.merge\.b: 56 bytes of data for shape \[8\], which needs 64"):
+            Matformer.from_checkpoint(data)
+
+    def test_short_batch_norm_data_names_the_state(self):
+        data = Matformer(SMALL, seed=6).to_checkpoint()
+        data["bn_states"][1]["running_var"]["shape"] = [9]
+        with pytest.raises(ValueError, match=r"bn_states\[1\]\.running_var: 64 bytes .* needs 72"):
+            Matformer.from_checkpoint(data)
+
+    def test_non_base64_data_rejected(self):
+        data = Matformer(SMALL, seed=6).to_checkpoint()
+        data["params"]["readout.b2"]["data"] = "not base64!"
+        with pytest.raises(ValueError, match=r"readout\.b2: data is not base64"):
             Matformer.from_checkpoint(data)
 
 
