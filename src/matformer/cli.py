@@ -18,7 +18,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import audit as audit_mod
-from . import io, synthetic, training
+from . import engine, io, synthetic, training
 from .featurize import GraphEmbedding, prepare_graph
 from .model import Matformer, ModelConfig
 
@@ -94,15 +94,16 @@ def cmd_featurize(args) -> int:
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
         prepared = prepare_graph(build(crystal), n_kernels=embedding.n_kernels, lo=embedding.lo, hi=embedding.hi)
-        payload = json.dumps(
-            {
-                "id": name,
-                "node_input": embedding.node_input(prepared).values.tolist(),
-                "edge_input": embedding.edge_input(prepared).values.tolist(),
-                "src": prepared.src.tolist(),
-                "dst": prepared.dst.tolist(),
-            }
-        )
+        with engine.no_grad():
+            payload = json.dumps(
+                {
+                    "id": name,
+                    "node_input": embedding.node_input(prepared).values.tolist(),
+                    "edge_input": embedding.edge_input(prepared).values.tolist(),
+                    "src": prepared.src.tolist(),
+                    "dst": prepared.dst.tolist(),
+                }
+            )
         if args.out:
             io.atomic_write(args.out, payload)
             print(f"{name}: features written to {args.out}")

@@ -5,16 +5,35 @@ linear maps, concatenation, Hadamard products, the sigmoid/SiLU family,
 layer/batch normalization, plain and segment softmax, and index
 gather/scatter for neighborhood aggregation.  Every differentiable op is
 validated against central finite differences in the test suite.
+
+Inside ``with no_grad():`` ops record no tape, so the arrays a backward
+would read are freed as each op returns; outputs are still checked for
+non-finite values.  Prediction, validation and featurization run in it.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_RECORDING = contextvars.ContextVar("matformer_engine_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which ops record no tape and their outputs need no gradient;
+    it is per thread and task, and ends with the ``with``, also on an exception."""
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 def _finite(values: np.ndarray, op: str) -> np.ndarray:
@@ -99,6 +118,8 @@ def _node(values, parents, backward_fn, op: str) -> Tensor:
     """An op's output; ``parents`` are its inputs' tape entries, or None."""
     out = Tensor(values)
     _finite(out.values, op)
+    if not _RECORDING.get():
+        return out
     for p in parents:
         if p is not None:
             out.requires_grad = True
@@ -127,6 +148,9 @@ def backward(root: Tensor) -> None:
     """
     if root.values.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.values.shape}")
+    if root._entry is None and not root.requires_grad:
+        raise RuntimeError("backward from a root that records no tape: it was computed "
+                           "under no_grad() or from constants alone")
     top = root._entry if root._entry is not None else root
     if top.backward_fn is _released:
         raise RuntimeError(_FREED_TAPE)
@@ -550,6 +574,27 @@ def linear(x, weight, bias=None) -> Tensor:
     if bias is not None:
         out = add(out, bias)
     return out
+
+
+class ParameterInit:
+    """Makes the model's parameter leaves: weights are standard normals from
+    ``rng`` (or another ParameterInit's) over sqrt(fan_in); with ``rng`` None
+    nothing is drawn and weights are zeros, for a checkpoint load to replace."""
+
+    def __init__(self, rng: np.random.Generator | ParameterInit | None):
+        self.rng = rng.rng if isinstance(rng, ParameterInit) else rng
+
+    def weight(self, shape, fan_in: int) -> Tensor:
+        values = np.zeros(shape) if self.rng is None else self.rng.standard_normal(shape) / math.sqrt(fan_in)
+        return Tensor(values, requires_grad=True)
+
+    @staticmethod
+    def zeros(shape) -> Tensor:
+        return Tensor(np.zeros(shape), requires_grad=True)
+
+    @staticmethod
+    def ones(shape) -> Tensor:
+        return Tensor(np.ones(shape), requires_grad=True)
 
 
 # --- parameter checkpointing -------------------------------------------------

@@ -102,23 +102,19 @@ class GraphEmbedding:
     """Learned maps from atomic numbers and RBF rows to model width."""
 
     def __init__(self, d_model: int, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0,
-                 activation: str = "silu", rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+                 activation: str = "silu", rng: np.random.Generator | engine.ParameterInit | None = None):
+        init = engine.ParameterInit(rng or np.random.default_rng(0))
         self.d_model = d_model
         self.n_kernels = n_kernels
         self.lo = lo
         self.hi = hi
         self.activation = activation
-
-        def init(shape, fan_in):
-            return Tensor(rng.standard_normal(shape) / np.sqrt(fan_in), requires_grad=True)
-
-        self.node_w = init((ATOM_DIM, d_model), ATOM_DIM)
-        self.node_b = Tensor(np.zeros(d_model), requires_grad=True)
-        self.edge_w1 = init((n_kernels, d_model), n_kernels)
-        self.edge_b1 = Tensor(np.zeros(d_model), requires_grad=True)
-        self.edge_w2 = init((d_model, d_model), d_model)
-        self.edge_b2 = Tensor(np.zeros(d_model), requires_grad=True)
+        self.node_w = init.weight((ATOM_DIM, d_model), ATOM_DIM)
+        self.node_b = init.zeros(d_model)
+        self.edge_w1 = init.weight((n_kernels, d_model), n_kernels)
+        self.edge_b1 = init.zeros(d_model)
+        self.edge_w2 = init.weight((d_model, d_model), d_model)
+        self.edge_b2 = init.zeros(d_model)
 
     def parameters(self, prefix: str = "embed") -> dict[str, Tensor]:
         return {

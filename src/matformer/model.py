@@ -84,39 +84,31 @@ def attention_gate(alpha: Tensor, dst, n_nodes: int, variant: str,
 class MatformerLayer:
     """Parameters and forward pass of one message-passing layer."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | engine.ParameterInit):
         d = config.d_model
         h = config.n_heads
         self.config = config
-
-        def init(shape, fan_in):
-            return Tensor(rng.standard_normal(shape) / math.sqrt(fan_in), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        def ones(shape):
-            return Tensor(np.ones(shape), requires_grad=True)
-
+        init = engine.ParameterInit(rng)
+        weight, zeros, ones = init.weight, init.zeros, init.ones
         self.heads = []
         for _ in range(h):
             self.heads.append(
                 {
-                    "q_w": init((d, d), d), "q_b": zeros(d),
-                    "k_w": init((d, d), d), "k_b": zeros(d),
-                    "v_w": init((d, d), d), "v_b": zeros(d),
-                    "e_w": init((d, d), d), "e_b": zeros(d),
-                    "upd_w": init((3 * d, d), 3 * d), "upd_b": zeros(d),
-                    "msg_w": init((d, d), d), "msg_b": zeros(d),
+                    "q_w": weight((d, d), d), "q_b": zeros(d),
+                    "k_w": weight((d, d), d), "k_b": zeros(d),
+                    "v_w": weight((d, d), d), "v_b": zeros(d),
+                    "e_w": weight((d, d), d), "e_b": zeros(d),
+                    "upd_w": weight((3 * d, d), 3 * d), "upd_b": zeros(d),
+                    "msg_w": weight((d, d), d), "msg_b": zeros(d),
                 }
             )
         self.alpha_ln_gain = ones(3 * d)
         self.alpha_ln_bias = zeros(3 * d)
         self.msg_ln_gain = ones(d)
         self.msg_ln_bias = zeros(d)
-        self.merge_w = init((h * d, d), h * d)
+        self.merge_w = weight((h * d, d), h * d)
         self.merge_b = zeros(d)
-        self.fea_w = init((d, d), d)
+        self.fea_w = weight((d, d), d)
         self.fea_b = zeros(d)
         self.bn_gamma = ones(d)
         self.bn_beta = zeros(d)
@@ -186,22 +178,19 @@ class Matformer:
     """Full model: embeddings, stacked layers, mean pooling, readout MLP."""
 
     def __init__(self, config: ModelConfig | None = None, seed: int = 0):
-        self.config = config or ModelConfig()
-        rng = np.random.default_rng(seed)
-        c = self.config
+        self._build(config or ModelConfig(), engine.ParameterInit(np.random.default_rng(seed)))
+
+    def _build(self, config: ModelConfig, init: engine.ParameterInit) -> None:
+        self.config = c = config
         self.embedding = GraphEmbedding(
             c.d_model, n_kernels=c.rbf_kernels, lo=c.rbf_lo, hi=c.rbf_hi,
-            activation=c.activation, rng=rng,
+            activation=c.activation, rng=init,
         )
-        self.layers = [MatformerLayer(c, rng) for _ in range(c.n_layers)]
-
-        def init(shape, fan_in):
-            return Tensor(rng.standard_normal(shape) / math.sqrt(fan_in), requires_grad=True)
-
-        self.readout_w1 = init((c.d_model, c.readout_hidden), c.d_model)
-        self.readout_b1 = Tensor(np.zeros(c.readout_hidden), requires_grad=True)
-        self.readout_w2 = init((c.readout_hidden, 1), c.readout_hidden)
-        self.readout_b2 = Tensor(np.zeros(1), requires_grad=True)
+        self.layers = [MatformerLayer(c, init) for _ in range(c.n_layers)]
+        self.readout_w1 = init.weight((c.d_model, c.readout_hidden), c.d_model)
+        self.readout_b1 = init.zeros(c.readout_hidden)
+        self.readout_w2 = init.weight((c.readout_hidden, 1), c.readout_hidden)
+        self.readout_b2 = init.zeros(1)
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.embedding.parameters("embed"))
@@ -246,8 +235,9 @@ class Matformer:
         return engine.linear(hidden, self.readout_w2, self.readout_b2)
 
     def predict(self, crystal: Crystal) -> float:
-        out = self.forward(self.prepare(crystal), training=False)
-        return float(out.values[0, 0])
+        """Eval-mode prediction for one crystal, computed without a tape."""
+        with engine.no_grad():
+            return float(self.forward(self.prepare(crystal), training=False).values[0, 0])
 
     def to_checkpoint(self) -> dict:
         return {
@@ -277,7 +267,9 @@ class Matformer:
         unknown = sorted(set(data["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ValueError(f"checkpoint config has unknown keys: {unknown}")
-        model = cls(ModelConfig(**data["config"]))
+        # every value is loaded below, so the parameters are built undrawn
+        model = cls.__new__(cls)
+        model._build(ModelConfig(**data["config"]), engine.ParameterInit(None))
         if len(data["bn_states"]) != len(model.layers):
             raise ValueError(
                 f"checkpoint has {len(data['bn_states'])} batch-norm states for {len(model.layers)} layers"

@@ -161,11 +161,12 @@ def _swap_weights(model: Matformer, weights: tuple[dict[str, np.ndarray], list[B
 
 
 def evaluate(model: Matformer, prepared: list[PreparedGraph], chunk: int = 64) -> np.ndarray:
-    """Eval-mode predictions for a list of prepared graphs."""
+    """Eval-mode predictions for a list of prepared graphs, computed without a tape."""
     preds = []
-    for lo in range(0, len(prepared), chunk):
-        batch = batch_prepared(prepared[lo : lo + chunk])
-        preds.append(model.forward(batch, training=False).values[:, 0])
+    with engine.no_grad():
+        for lo in range(0, len(prepared), chunk):
+            batch = batch_prepared(prepared[lo : lo + chunk])
+            preds.append(model.forward(batch, training=False).values[:, 0])
     return np.concatenate(preds)
 
 

@@ -209,6 +209,68 @@ class TestTapeHoldsOnlyWhatBackwardReads:
         assert all(r() is None for r in refs)
 
 
+class TestNoGrad:
+    """Inside no_grad() ops record no tape; outputs keep every bit."""
+
+    def test_outputs_record_no_tape_and_match_taped_values(self):
+        x, w, b = param((5, 4)), param((4, 3)), param((3,))
+        taped = engine.silu(engine.linear(x, w, b))
+        with engine.no_grad():
+            out = engine.silu(engine.linear(x, w, b))
+        assert out._entry is None and not out.requires_grad
+        assert taped._entry is not None
+        assert np.array_equal(out.values, taped.values)
+
+    def test_closure_arrays_are_freed_when_the_op_returns(self):
+        a, b = param((4, 3)), param((4, 3))
+        with engine.no_grad():
+            u = engine.scale(a, 1.0)
+            ref = weakref.ref(u.values)
+            out = engine.mul(u, b)
+            del u
+            assert ref() is None
+        assert out._entry is None
+
+    def test_scope_is_restored_after_an_exception(self):
+        w = param((3,))
+        with pytest.raises(ValueError, match="inside"):
+            with engine.no_grad():
+                raise ValueError("raised inside the scope")
+        assert engine.mul(w, w)._entry is not None
+
+    def test_nested_scopes(self):
+        w = param((3,))
+        with engine.no_grad():
+            with engine.no_grad():
+                assert engine.mul(w, w)._entry is None
+            assert engine.mul(w, w)._entry is None
+        assert engine.mul(w, w)._entry is not None
+
+    def test_non_finite_output_still_names_the_op(self):
+        x, w = param((2, 3)), param((3, 3))
+        w.values[0, 0] = np.nan
+        with engine.no_grad(), pytest.raises(FloatingPointError, match="matmul"):
+            engine.matmul(x, w)
+
+    def test_backward_from_a_no_grad_root_raises(self):
+        w = param((3,))
+        with engine.no_grad():
+            out = engine.tensor_sum(engine.mul(w, w))
+        with pytest.raises(RuntimeError, match=r"records no tape.*no_grad\(\) or from constants"):
+            backward(out)
+        assert w.grad is None
+
+    def test_backward_from_a_constant_root_raises(self):
+        out = engine.tensor_sum(engine.mul(Tensor(np.ones(3)), Tensor(np.ones(3))))
+        with pytest.raises(RuntimeError, match="records no tape"):
+            backward(out)
+
+    def test_a_leaf_needing_a_gradient_is_still_a_root(self):
+        w = param(())
+        backward(w)
+        assert np.array_equal(w.grad, np.ones(()))
+
+
 def _add_at(x, index, num_rows):
     """The ``np.add.at`` scatter-add the segment sum must reproduce bit for bit."""
     out = np.zeros((num_rows,) + x.shape[1:])

@@ -1,6 +1,8 @@
 import base64
 import json
 import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from matformer.crystal import E3Transform, apply_e3, crystal_from_frac, random_o
 from matformer.engine import Tensor, backward, finite_difference_gradients, max_relative_error
 from matformer.featurize import batch_prepared
 from matformer.model import Matformer, MatformerLayer, ModelConfig, attention_gate
-from matformer.synthetic import random_crystal
+from matformer.synthetic import random_corpus, random_crystal
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import CONFIG as GOLDEN_CONFIG
 
 SMALL = ModelConfig(n_layers=2, n_heads=2, d_model=8, rbf_kernels=8, readout_hidden=8)
 
@@ -318,6 +322,16 @@ class TestCheckpoint:
         clone = Matformer.from_checkpoint(model.to_checkpoint())
         assert clone.predict(crystal) == base
 
+    def test_loading_draws_no_initialisation(self, monkeypatch):
+        data = Matformer(SMALL, seed=6).to_checkpoint()
+
+        def no_generator(*args):
+            raise AssertionError("from_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        clone = Matformer.from_checkpoint(data)
+        assert engine.parameters_to_dict(clone.parameters()) == data["params"]
+
     @pytest.mark.parametrize("change", [-1, 1])
     def test_wrong_bn_state_count_rejected(self, change):
         data = Matformer(SMALL, seed=6).to_checkpoint()
@@ -405,6 +419,36 @@ class TestCheckpointFormat:
         data["params"]["readout.b2"]["data"] = "not base64!"
         with pytest.raises(ValueError, match=r"readout\.b2: data is not base64"):
             Matformer.from_checkpoint(data)
+
+
+class TestInference:
+    """predict runs without a tape and keeps every bit of the taped forward."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + ["paper_config"])
+    def test_predict_equals_the_taped_forward(self, name):
+        if name == "paper_config":
+            model, crystal = Matformer(ModelConfig(), seed=5), random_corpus(1, seed=7, n_atoms_max=4)[0]
+        else:
+            variant, _, _, seed, atoms = GOLDEN_CASES[name]
+            model = Matformer(ModelConfig(attention_variant=variant, **GOLDEN_CONFIG), seed=66)
+            crystal = random_corpus(1, seed=seed, n_atoms_max=atoms)[0]
+        taped = model.forward(model.prepare(crystal), training=False)
+        assert taped._entry is not None
+        assert np.array_equal(model.predict(crystal), taped.values[0, 0])
+
+    def test_paper_config_supercell_peak_memory(self):
+        # 96 atoms, 1728 edges; the taped forward peaks at about 640 MiB
+        crystal = supercell(random_crystal(np.random.default_rng(3), n_atoms=3), (4, 4, 2))
+        model = Matformer(ModelConfig(), seed=0)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            model.predict(crystal)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB in {seconds:.2f} s"
 
 
 class TestGradients:

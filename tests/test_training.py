@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matformer.engine import Tensor
+from matformer.featurize import batch_prepared
 from matformer.io import DatasetRecord
 from matformer.model import Matformer, ModelConfig
 from matformer.synthetic import TARGET_FUNCTIONS, mean_lattice_length, random_corpus, random_crystal
@@ -157,6 +158,13 @@ class TestTrainLoop:
         result = train(model, records, records, config)
         assert result.best_val_mae == min(row["val_mae"] for row in result.log)
         assert "target_scale" in result.best_checkpoint
+
+    def test_evaluate_equals_the_taped_batch_forward(self):
+        model = Matformer(ModelConfig(n_layers=2, n_heads=2, d_model=8, rbf_kernels=8, readout_hidden=8), seed=3)
+        prepared = [model.prepare(r.crystal) for r in make_records(5, seed=6)]
+        taped = model.forward(batch_prepared(prepared), training=False)
+        assert taped._entry is not None
+        assert np.array_equal(evaluate(model, prepared), taped.values[:, 0])
 
     def test_log_columns(self):
         records = make_records(4, seed=5)
