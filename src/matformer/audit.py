@@ -21,12 +21,11 @@ from .graphs import (
     KIND_ORDER,
     NEIGHBOR,
     CrystalGraph,
-    Edge,
     GraphMeta,
-    LatticeImage,
     add_self_connecting_edges,
     build_radius_graph,
     build_t_fully_connected,
+    edges_from_columns,
     grow_candidates,
     image_bound,
     neighbor_candidates,
@@ -214,6 +213,12 @@ def audit_knn_determinism(crystal: Crystal, k: int, seeds: tuple[int, ...] = (0,
 # --- broken constructions (negative controls) ---------------------------------
 
 
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    """Row lengths with the 1-D ``np.linalg.norm``'s bits: its ``sqrt(v @ v)``
+    (a batched ``norm(axis=-1)`` sums the squares another way)."""
+    return np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
+
+
 def ocgraph_builder(crystal: Crystal, r: float) -> CrystalGraph:
     """Fully connected graph over every atom image within ``r`` of the cell.
 
@@ -221,22 +226,16 @@ def ocgraph_builder(crystal: Crystal, r: float) -> CrystalGraph:
     the cell boundaries sit: deliberately not periodic invariant.  Edges
     are emitted in both directions (a complete directed graph).
     """
-    _, src, image, _ = neighbor_candidates(crystal, r)
-    in_cell = {(j, (0, 0, 0)) for j in range(crystal.n_atoms)}
-    nodes = sorted(in_cell.union(zip(src.tolist(), map(tuple, image.tolist()))))
-    positions = np.array([crystal.positions[j] + np.asarray(k, float) @ crystal.lattice for j, k in nodes])
-    z = np.array([crystal.atomic_numbers[j] for j, _ in nodes])
-
-    edges = []
-    m = len(nodes)
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            d = float(np.linalg.norm(positions[b] - positions[a]))
-            edges.append(Edge(src=b, dst=a, distance=d, image=LatticeImage((0, 0, 0)), kind=NEIGHBOR))
+    _, atom, image, _ = neighbor_candidates(crystal, r)
+    in_cell = np.column_stack([np.arange(crystal.n_atoms), np.zeros((crystal.n_atoms, 3), dtype=int)])
+    # image nodes as (atom, offset) rows, sorted
+    nodes = np.unique(np.concatenate([in_cell, np.column_stack([atom, image])]), axis=0)
+    positions = crystal.positions[nodes[:, 0]] + nodes[:, 1:].astype(float) @ crystal.lattice
+    dst, src = np.nonzero(~np.eye(len(nodes), dtype=bool))
+    edges = edges_from_columns(dst, src, np.zeros((dst.size, 3), dtype=int), _norms(positions[src] - positions[dst]),
+                               np.full_like(dst, KIND_ORDER[NEIGHBOR]))
     meta = GraphMeta(method="ocgraph", radius=float(r))
-    return CrystalGraph(node_atomic_numbers=z, edges=tuple(edges), meta=meta)
+    return CrystalGraph(node_atomic_numbers=crystal.atomic_numbers[nodes[:, 0]], edges=edges, meta=meta)
 
 
 def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int = 0) -> CrystalGraph:
@@ -253,36 +252,28 @@ def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int =
     frac = crystal.frac_coords
     rng = np.random.default_rng(perturbation_seed)
     r, _ = grow_candidates(crystal, k)
-    bound = image_bound(crystal.lattice, r)
-
-    edges = []
+    box = np.stack(np.meshgrid(*(np.arange(-b - 1, b + 2) for b in image_bound(crystal.lattice, r)), indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    j = np.repeat(np.arange(n), len(box))
+    columns = []
     node_radii = np.zeros(n)
     for i in range(n):
         # naive raw-index scan, the order a straightforward implementation
-        # enumerates images in: where a physical image lands in this scan
-        # depends on the cell description, which is the whole pitfall
-        cand = []
-        for j in range(n):
-            # the images of j nearest i sit near k = frac[i] - frac[j]
-            centre = np.floor(frac[i] - frac[j] + 0.5).astype(int)
-            for k1 in range(centre[0] - bound[0] - 1, centre[0] + bound[0] + 2):
-                for k2 in range(centre[1] - bound[1] - 1, centre[1] + bound[1] + 2):
-                    for k3 in range(centre[2] - bound[2] - 1, centre[2] + bound[2] + 2):
-                        vec = (frac[j] + (k1, k2, k3) - frac[i]) @ crystal.lattice
-                        d = float(np.linalg.norm(vec))
-                        if d <= r and not (i == j and d < 1e-12):
-                            cand.append((j, (k1, k2, k3), d))
-        order = rng.permutation(len(cand))
-        shuffled = [cand[o] for o in order]
-        shuffled.sort(key=lambda c: c[2])  # stable: ties keep shuffled order
-        picked = shuffled[:k]
-        node_radii[i] = picked[-1][2]
-        for j, kvec, d in picked:
-            edges.append(Edge(src=j, dst=i, distance=d, image=LatticeImage(kvec), kind=NEIGHBOR))
+        # enumerates images in (atom j, then k1, k2, k3 around the images of
+        # j nearest i): where a physical image lands in this scan depends on
+        # the cell description, which is the whole pitfall
+        kvec = (np.floor(frac[i] - frac + 0.5).astype(int)[:, None, :] + box).reshape(-1, 3)
+        d = _norms((frac[j] + kvec - frac[i]) @ crystal.lattice)
+        cand = np.flatnonzero((d <= r) & ~((j == i) & (d < 1e-12)))
+        shuffled = cand[rng.permutation(cand.size)]
+        picked = shuffled[np.argsort(d[shuffled], kind="stable")[:k]]  # stable: ties keep shuffled order
+        node_radii[i] = d[picked[-1]]
+        columns.append((np.full(picked.size, i), j[picked], kvec[picked], d[picked]))
+    dst, src, image, dist = (np.concatenate(c) for c in zip(*columns))
     meta = GraphMeta(method="knn", neighbor_rank=k, node_radii=tuple(map(float, node_radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        edges=tuple(edges),
+        edges=edges_from_columns(dst, src, image, dist, np.full_like(dst, KIND_ORDER[NEIGHBOR])),
         meta=meta,
     )
 

@@ -209,6 +209,7 @@ def cmd_predict(args) -> int:
     except ValueError as err:  # includes JSONDecodeError and UnicodeDecodeError
         raise SystemExit(f"cannot load checkpoint {args.checkpoint}: {err}") from None
     scale = checkpoint.get("target_scale")
+    del checkpoint  # megabytes of base64 text the model no longer needs
     if scale is None:
         print("warning: checkpoint has no target_scale; predictions are in normalized units "
               "(mean 0, std 1)", file=sys.stderr)

@@ -650,6 +650,7 @@ def load_parameter_values(params: dict[str, Tensor], data: dict) -> None:
 # --- finite differences ------------------------------------------------------
 
 
+@no_grad()  # the forwards record no tape
 def finite_difference_gradients(build, params: dict[str, Tensor], h: float = 1e-5) -> dict[str, np.ndarray]:
     """Central-difference gradient of ``build()`` (scalar) per parameter."""
     grads = {}

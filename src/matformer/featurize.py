@@ -62,7 +62,7 @@ class PreparedGraph:
 
 
 def prepare_graph(graph: CrystalGraph, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0) -> PreparedGraph:
-    src, dst, dist = graph.edge_arrays()
+    dst, src, _, dist, _ = graph.edge_columns()
     return PreparedGraph(
         atomic_numbers=graph.node_atomic_numbers,
         edge_rbf=rbf_expand(dist, n_kernels=n_kernels, lo=lo, hi=hi),

@@ -33,7 +33,8 @@ DIST_TOL = 1e-9
 # Images of the same atom whose distances encode the lattice shape.
 SELF_EDGE_IMAGES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
-KIND_ORDER = {NEIGHBOR: 0, SELF_CONNECTING: 1}
+KINDS = (NEIGHBOR, SELF_CONNECTING)  # in canonical order; a kind column holds indices into it
+KIND_ORDER = {kind: code for code, kind in enumerate(KINDS)}
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,31 @@ class CrystalGraph:
     def n_nodes(self) -> int:
         return self.node_atomic_numbers.size
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, distance) columns of the edge table."""
-        src = np.fromiter((e.src for e in self.edges), dtype=int, count=len(self.edges))
-        dst = np.fromiter((e.dst for e in self.edges), dtype=int, count=len(self.edges))
+    def edge_columns(self) -> tuple[np.ndarray, ...]:
+        """Edge columns ``(dst, src, image, distance, kind)``, as ``edges_from_columns`` takes them."""
+        rows = [(e.dst, e.src, *e.image.k, KIND_ORDER[e.kind]) for e in self.edges]
+        ints = np.array(rows, dtype=int).reshape(-1, 6)
         dist = np.fromiter((e.distance for e in self.edges), dtype=float, count=len(self.edges))
-        return src, dst, dist
+        return ints[:, 0], ints[:, 1], ints[:, 2:5], dist, ints[:, 5]
 
 
-def _edge_sort_key(e: Edge):
-    return (e.dst, e.src, KIND_ORDER[e.kind], e.distance, e.image.k)
+def canonical_order(dst, src, image, distance, kind) -> np.ndarray:
+    """Permutation putting edge columns in canonical edge order: by dst,
+    src, kind, distance, then image offset lexicographically."""
+    return np.lexsort((image[:, 2], image[:, 1], image[:, 0], distance, kind, src, dst))
+
+
+def edges_from_columns(dst, src, image, distance, kind) -> tuple[Edge, ...]:
+    """The ``Edge`` tuple of edge columns, in their given order; edges with
+    the same (E, 3) integer ``image`` offset share one frozen ``LatticeImage``."""
+    # one LatticeImage per distinct offset (keyed by its index in the box)
+    shifted = image - image.min(axis=0, initial=0)
+    key = np.ravel_multi_index(shifted.T, shifted.max(axis=0, initial=0) + 1)
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    images = [LatticeImage(k) for k in image[first].tolist()]
+    # positional arguments in field order: cheaper per edge than keywords
+    return tuple(map(Edge, src.tolist(), dst.tolist(), distance.tolist(),
+                     map(images.__getitem__, which.tolist()), map(KINDS.__getitem__, kind.tolist())))
 
 
 def interplanar_spacings(lattice: np.ndarray) -> np.ndarray:
@@ -133,14 +149,14 @@ def neighbor_candidates(crystal: Crystal, r: float, dst=None, src=None):
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
     bound = np.floor(r / interplanar_spacings(crystal.lattice) + 0.5 + 1e-9).astype(int)
-    offs = np.stack(np.meshgrid(*(np.arange(-k, k + 1) for k in bound), indexing="ij"), axis=-1).reshape(-1, 3)
     # eight float64s and three bool masks per (dst, src, offset) triple at peak
-    peak_bytes = dst.size * src.size * offs.shape[0] * (8 * 8 + 3)
+    peak_bytes = dst.size * src.size * math.prod(2 * k + 1 for k in bound.tolist()) * (8 * 8 + 3)
     if peak_bytes > MAX_GRID_BYTES:
         raise ValueError(
             f"neighbor search over {n} atoms at r={r:.3f} would need {peak_bytes / 2**20:.0f} MiB "
             f"for its image grid (limit {MAX_GRID_BYTES / 2**20:.0f} MiB)"
         )
+    offs = np.stack(np.meshgrid(*(np.arange(-k, k + 1) for k in bound), indexing="ij"), axis=-1).reshape(-1, 3)
     frac = crystal.frac_coords
     diff = frac[src][None, :, :] - frac[dst][:, None, :]  # f_src - f_dst
     base = np.floor(diff + 0.5)
@@ -186,21 +202,6 @@ def _rank_distances(dst: np.ndarray, dist: np.ndarray, rank: int) -> np.ndarray:
     """Rank-th smallest candidate distance of each destination, in dst order."""
     order = np.lexsort((dist, dst))
     return dist[order][_rank_in_group(dst[order]) == rank - 1]
-
-
-def _neighbor_edges(dst, src, image, dist) -> tuple[Edge, ...]:
-    """Neighbor edges from candidate columns, in canonical edge order."""
-    order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dist, src, dst))
-    image = image[order]
-    # one frozen LatticeImage per distinct offset (keyed by its index in the box)
-    shifted = image - image.min(axis=0, initial=0)
-    key = np.ravel_multi_index(shifted.T, shifted.max(axis=0, initial=0) + 1)
-    _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    images = [LatticeImage(k) for k in image[first].tolist()]
-    return tuple(
-        Edge(src=s, dst=d, distance=x, image=images[w])
-        for d, s, x, w in zip(dst[order].tolist(), src[order].tolist(), dist[order].tolist(), which.tolist())
-    )
 
 
 def image_distances(
@@ -255,12 +256,13 @@ def build_radius_graph(crystal: Crystal, neighbor_rank: int = 12) -> CrystalGrap
         # edge selection extends DIST_TOL past the largest radius; re-enumerate
         # so the box provably covers it
         cand = neighbor_candidates(crystal, radii.max() + 1e-6)
-    dst, src, image, dist = cand
-    keep = dist <= radii[dst] + DIST_TOL
+    keep = cand[3] <= radii[cand[0]] + DIST_TOL
+    cols = [c[keep] for c in cand] + [np.full(keep.sum(), KIND_ORDER[NEIGHBOR])]
+    order = canonical_order(*cols)
     meta = GraphMeta(method="radius", neighbor_rank=neighbor_rank, node_radii=tuple(map(float, radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        edges=_neighbor_edges(dst[keep], src[keep], image[keep], dist[keep]),
+        edges=edges_from_columns(*(c[order] for c in cols)),
         meta=meta,
     )
 
@@ -276,15 +278,17 @@ def build_t_fully_connected(crystal: Crystal, t: int = 3) -> CrystalGraph:
         raise ValueError("t must be >= 1")
     n = crystal.n_atoms
     _, (dst, src, image, dist) = grow_candidates(crystal, t, per_pair=True)
-    order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dist, src, dst))
+    kind = np.full_like(dst, KIND_ORDER[NEIGHBOR])
+    order = canonical_order(dst, src, image, dist, kind)
+    # each pair's first t in canonical order, still in canonical order
     keep = order[_rank_in_group(dst[order] * n + src[order]) < t]
-    dst, src, image, dist = dst[keep], src[keep], image[keep], dist[keep]
+    dst, src, image, dist, kind = dst[keep], src[keep], image[keep], dist[keep], kind[keep]
     # kept distances ascend within each pair, so a self pair's last is its largest
     node_radii = dist[(dst == src) & (np.arange(dist.size) % t == t - 1)]
     meta = GraphMeta(method="t_fully_connected", t=t, node_radii=tuple(map(float, node_radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        edges=_neighbor_edges(dst, src, image, dist),
+        edges=edges_from_columns(dst, src, image, dist, kind),
         meta=meta,
     )
 
@@ -300,7 +304,8 @@ def self_connecting_distances(lattice: np.ndarray) -> list[tuple[tuple[int, int,
 
 
 def add_self_connecting_edges(graph: CrystalGraph, crystal: Crystal) -> CrystalGraph:
-    """Add the six lattice-shape self edges per node, deduplicated.
+    """Add the six lattice-shape self edges per node, deduplicated, and put
+    every edge in canonical order.
 
     A candidate already represented by the neighbor construction (distance
     within the node's construction radius) is skipped.  Deduplication uses
@@ -310,18 +315,15 @@ def add_self_connecting_edges(graph: CrystalGraph, crystal: Crystal) -> CrystalG
         raise ValueError(f"graph method {graph.meta.method!r} has no per-node radius for dedup")
     if graph.n_nodes != crystal.n_atoms:
         raise ValueError("graph was not built from this crystal")
-    candidates = [(LatticeImage(k), d) for k, d in self_connecting_distances(crystal.lattice)]
-    new_edges = list(graph.edges)
-    for i in range(graph.n_nodes):
-        radius_i = graph.meta.node_radii[i]
-        for image, d in candidates:
-            if d <= radius_i + DIST_TOL:
-                continue
-            new_edges.append(Edge(src=i, dst=i, distance=d, image=image, kind=SELF_CONNECTING))
-    new_edges.sort(key=_edge_sort_key)
+    six = np.array([d for _, d in self_connecting_distances(crystal.lattice)])
+    node, which = np.nonzero(six > np.array(graph.meta.node_radii)[:, None] + DIST_TOL)
+    added = (node, node, np.array(SELF_EDGE_IMAGES)[which], six[which], np.full_like(node, KIND_ORDER[SELF_CONNECTING]))
+    order = canonical_order(*(np.concatenate(pair) for pair in zip(graph.edge_columns(), added)))
+    # the graph's own edges are reused, not rebuilt: an Edge costs more than the sort
+    edges = graph.edges + edges_from_columns(*added)
     return CrystalGraph(
         node_atomic_numbers=graph.node_atomic_numbers,
-        edges=tuple(new_edges),
+        edges=tuple(map(edges.__getitem__, order.tolist())),
         meta=replace(graph.meta, self_edges=True),
     )
 

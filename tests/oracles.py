@@ -2,12 +2,30 @@
 
 These deliberately avoid the library's enumeration machinery: plain triple
 loops over a fixed image box, working on raw Cartesian positions, and the
-slow textbook forms of formulas the library computes another way.
+slow textbook forms of formulas the library computes another way.  The loop
+references at the end build whole graphs one edge at a time, as the
+negative controls and the self-edge merge once did, and must agree with the
+array builders edge for edge and bit for bit.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
+
+from matformer.crystal import LatticeImage
+from matformer.graphs import (
+    DIST_TOL,
+    NEIGHBOR,
+    SELF_CONNECTING,
+    CrystalGraph,
+    Edge,
+    GraphMeta,
+    grow_candidates,
+    image_bound,
+    neighbor_candidates,
+    self_connecting_distances,
+)
 
 
 def brute_image_distances(crystal, i, j, kmax):
@@ -68,3 +86,71 @@ def one_hot_atoms(atomic_numbers, dim=119):
     out = np.zeros((z.size, dim))
     out[np.arange(z.size), z] = 1.0
     return out
+
+
+# --- loop references for the negative controls and the self-edge merge ---------
+
+
+def loop_ocgraph(crystal, r):
+    """``audit.ocgraph_builder`` as a per-edge loop: image nodes sorted by
+    (atom, image), and one 1-D norm per ordered node pair."""
+    _, src, image, _ = neighbor_candidates(crystal, r)
+    in_cell = {(j, (0, 0, 0)) for j in range(crystal.n_atoms)}
+    nodes = sorted(in_cell.union(zip(src.tolist(), map(tuple, image.tolist()))))
+    positions = np.array([crystal.positions[j] + np.asarray(k, float) @ crystal.lattice for j, k in nodes])
+    z = np.array([crystal.atomic_numbers[j] for j, _ in nodes])
+    edges = []
+    m = len(nodes)
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            d = float(np.linalg.norm(positions[b] - positions[a]))
+            edges.append(Edge(src=b, dst=a, distance=d, image=LatticeImage((0, 0, 0)), kind=NEIGHBOR))
+    return CrystalGraph(node_atomic_numbers=z, edges=tuple(edges), meta=GraphMeta(method="ocgraph", radius=float(r)))
+
+
+def loop_knn_distance_only(crystal, k, perturbation_seed=0):
+    """``audit.knn_distance_only_builder`` as three nested image loops in raw
+    index order, one 1-D norm per image, and a stable sort of Python tuples."""
+    n = crystal.n_atoms
+    frac = crystal.frac_coords
+    rng = np.random.default_rng(perturbation_seed)
+    r, _ = grow_candidates(crystal, k)
+    bound = image_bound(crystal.lattice, r)
+    edges = []
+    node_radii = np.zeros(n)
+    for i in range(n):
+        cand = []
+        for j in range(n):
+            centre = np.floor(frac[i] - frac[j] + 0.5).astype(int)
+            for k1 in range(centre[0] - bound[0] - 1, centre[0] + bound[0] + 2):
+                for k2 in range(centre[1] - bound[1] - 1, centre[1] + bound[1] + 2):
+                    for k3 in range(centre[2] - bound[2] - 1, centre[2] + bound[2] + 2):
+                        vec = (frac[j] + (k1, k2, k3) - frac[i]) @ crystal.lattice
+                        d = float(np.linalg.norm(vec))
+                        if d <= r and not (i == j and d < 1e-12):
+                            cand.append((j, (k1, k2, k3), d))
+        order = rng.permutation(len(cand))
+        shuffled = [cand[o] for o in order]
+        shuffled.sort(key=lambda c: c[2])
+        picked = shuffled[:k]
+        node_radii[i] = picked[-1][2]
+        for j, kvec, d in picked:
+            edges.append(Edge(src=j, dst=i, distance=d, image=LatticeImage(kvec), kind=NEIGHBOR))
+    meta = GraphMeta(method="knn", neighbor_rank=k, node_radii=tuple(map(float, node_radii)))
+    return CrystalGraph(node_atomic_numbers=crystal.atomic_numbers, edges=tuple(edges), meta=meta)
+
+
+def loop_self_edges(graph, crystal):
+    """``graphs.add_self_connecting_edges`` as a per-node loop over the six
+    candidates, merged by a Python sort on (dst, src, kind, distance, image)."""
+    kind_order = {NEIGHBOR: 0, SELF_CONNECTING: 1}
+    new_edges = list(graph.edges)
+    for i in range(graph.n_nodes):
+        for k, d in self_connecting_distances(crystal.lattice):
+            if d <= graph.meta.node_radii[i] + DIST_TOL:
+                continue
+            new_edges.append(Edge(src=i, dst=i, distance=d, image=LatticeImage(k), kind=SELF_CONNECTING))
+    new_edges.sort(key=lambda e: (e.dst, e.src, kind_order[e.kind], e.distance, e.image.k))
+    return dataclasses.replace(graph, edges=tuple(new_edges), meta=dataclasses.replace(graph.meta, self_edges=True))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matformer.audit import (
     AuditReport,
@@ -19,8 +21,19 @@ from matformer.audit import (
     tie_crystal,
 )
 from matformer.crystal import Crystal, crystal_from_frac, shift_boundary, supercell
-from matformer.graphs import CrystalGraph, Edge, GraphMeta, LatticeImage, build_radius_graph, build_t_fully_connected
+from matformer.graphs import (
+    CrystalGraph,
+    Edge,
+    GraphMeta,
+    LatticeImage,
+    add_self_connecting_edges,
+    build_radius_graph,
+    build_t_fully_connected,
+    interplanar_spacings,
+)
 from matformer.synthetic import random_corpus
+from oracles import loop_knn_distance_only, loop_ocgraph, loop_self_edges
+from test_graphs import triclinic_cases
 
 
 def cubic(a=1.0, fracs=((0, 0, 0),), zs=None):
@@ -231,6 +244,35 @@ class TestKnn:
         assert np.allclose(
             sorted(e.distance for e in knn.edges), sorted(e.distance for e in tfc.edges)
         )
+
+
+def assert_same_graph(got, want):
+    assert got.edges == want.edges
+    assert np.array_equal(got.node_atomic_numbers, want.node_atomic_numbers)
+    assert got.meta == want.meta
+    if want.meta.node_radii is not None:  # the same bits, not only equal values
+        assert np.array(got.meta.node_radii).tobytes() == np.array(want.meta.node_radii).tobytes()
+
+
+@st.composite
+def control_cases(draw):
+    """A triclinic or adversarial cell, an ocgraph radius of up to 1.2
+    interplanar spacings, a kNN k and a perturbation seed."""
+    crystal = draw(st.one_of(
+        triclinic_cases().map(lambda case: case[0]), st.just(tie_crystal()), st.just(shift_sensitive_crystal())))
+    radius = draw(st.floats(0.1, 1.2)) * interplanar_spacings(crystal.lattice).min()
+    return crystal, radius, draw(st.integers(1, 8)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(control_cases())
+@settings(max_examples=40, deadline=None)
+def test_negative_controls_match_loop_oracles(case):
+    crystal, radius, k, seed = case
+    assert_same_graph(ocgraph_builder(crystal, radius), loop_ocgraph(crystal, radius))
+    knn = knn_distance_only_builder(crystal, k, perturbation_seed=seed)
+    assert_same_graph(knn, loop_knn_distance_only(crystal, k, perturbation_seed=seed))
+    # kNN edges come in distance order, so adding self edges must re-sort them all
+    assert_same_graph(add_self_connecting_edges(knn, crystal), loop_self_edges(knn, crystal))
 
 
 class TestLineGraphSize:

@@ -145,6 +145,18 @@ class TestNeighborCandidates:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    def test_large_box_raises_before_building_its_offsets(self):
+        # 101**3 offsets for 16 atom pairs: the offset grid alone is 24 MiB
+        c = cubic(fracs=[[0, 0, 0], [0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"4 atoms at r=50.000 would need 1053 MiB"):
+                neighbor_candidates(c, 50.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_large_cell_radius_graph_fits(self):
         # the 12-neighbor radius needs only the zero offset of a 17.5 A cell
         big = self.big_cell()
@@ -156,7 +168,7 @@ class TestNeighborCandidates:
             tracemalloc.stop()
         assert peak < 256 * 2**20
         assert graph.n_nodes == 1029
-        assert min(np.bincount(graph.edge_arrays()[1], minlength=1029)) >= 12
+        assert min(np.bincount(graph.edge_columns()[0], minlength=1029)) >= 12
 
 
 class TestImageDistances:
