@@ -27,7 +27,7 @@ from .graphs import (
     build_t_fully_connected,
     edges_from_columns,
     grow_candidates,
-    image_bound,
+    image_box,
     neighbor_candidates,
 )
 from .io import crystal_to_dict
@@ -252,7 +252,7 @@ def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int =
     frac = crystal.frac_coords
     rng = np.random.default_rng(perturbation_seed)
     r, _ = grow_candidates(crystal, k)
-    box = np.stack(np.meshgrid(*(np.arange(-b - 1, b + 2) for b in image_bound(crystal.lattice, r)), indexing="ij"),
+    box = np.stack(np.meshgrid(*(np.arange(-b, b + 1) for b in image_box(crystal.lattice, r)), indexing="ij"),
                    axis=-1).reshape(-1, 3)
     j = np.repeat(np.arange(n), len(box))
     columns = []

@@ -136,7 +136,10 @@ def _run_configs(mapping: dict[str, str]) -> tuple[ModelConfig, training.TrainCo
             kwargs[prefix][name] = _PARSERS[known[key]](raw)
         except ValueError as err:
             raise SystemExit(f"run-config key {key}: {err}") from err
-    return ModelConfig(**kwargs["model"]), training.TrainConfig(**kwargs["train"])
+    try:
+        return ModelConfig(**kwargs["model"]), training.TrainConfig(**kwargs["train"])
+    except ValueError as err:
+        raise SystemExit(f"invalid run config: {err}") from err
 
 
 def _load_dataset(args) -> list[io.DatasetRecord]:

@@ -204,11 +204,11 @@ def apply_e3(crystal: Crystal, transform: E3Transform) -> Crystal:
     )
 
 
-def random_orthogonal(rng: np.random.Generator, allow_reflection: bool = True) -> np.ndarray:
-    """Haar-ish random orthogonal matrix via QR of a Gaussian matrix."""
+def random_orthogonal(rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random orthogonal matrix via QR of a Gaussian matrix; a reflection half the time."""
     g = rng.standard_normal((3, 3))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))
-    if allow_reflection and rng.random() < 0.5:
+    if rng.random() < 0.5:
         q = q @ np.diag([1.0, 1.0, -1.0])
     return q

@@ -104,53 +104,46 @@ def interplanar_spacings(lattice: np.ndarray) -> np.ndarray:
     return 1.0 / np.linalg.norm(np.linalg.inv(np.asarray(lattice, dtype=float)), axis=0)
 
 
-def image_bound(lattice: np.ndarray, r: float) -> tuple[int, int, int]:
-    """Per-direction image index bound K_i = ceil(r / spacing_i).
+def image_box(lattice: np.ndarray, r: float) -> tuple[int, int, int]:
+    """Image offsets ``K_i`` to scan each way, around a fractional difference
+    recentred into [-0.5, 0.5], to find every image within ``r``.
 
-    Every image displacement of length <= r has |k_i| <= K_i + 1; the +1
-    absorbs atoms sitting anywhere in the cell rather than at the origin.
-    Only the kNN negative control's naive scan still uses this loose box;
-    ``neighbor_candidates`` scans a tighter one.
+    A displacement with fractional components ``f`` is at least
+    ``|f_i| * spacing_i`` long (its projection on the normal of the planes
+    spanned by the other two axes), so an image within ``r`` has
+    ``|k_i| <= r / spacing_i + 0.5``, and ``K_i = floor(r / spacing_i + 0.5)``
+    (plus 1e-9, so rounding in the spacings cannot drop an image at exactly
+    ``r``).
     """
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    spacings = interplanar_spacings(lattice)
-    return tuple(int(math.ceil(r / d)) for d in spacings)
+    return tuple(np.floor(r / interplanar_spacings(lattice) + 0.5 + 1e-9).astype(int).tolist())
 
 
 # Budget for the peak memory of one ``neighbor_candidates`` call.
 MAX_GRID_BYTES = 1 << 30
 
 
-def neighbor_candidates(crystal: Crystal, r: float, dst=None, src=None):
-    """Every image of a ``src`` atom within ``r`` of a ``dst`` atom.
+def neighbor_candidates(crystal: Crystal, r: float):
+    """Every atom image within ``r`` of an atom.
 
-    ``dst`` and ``src`` are atom index lists (default: all atoms).  Returns
-    flat arrays ``(dst, src, image, distance)`` in (dst, src, grid) order,
-    where ``image`` (E, 3) is the integer lattice offset of the source image.
-    The zero self pair (an atom with itself at zero offset) is left out.
+    Returns flat arrays ``(dst, src, image, distance)`` in (dst, src, grid)
+    order, where ``image`` (E, 3) is the integer lattice offset of the
+    source image.  The zero self pair (an atom with itself at zero offset)
+    is left out.
 
     Works for arbitrary (unwrapped) fractional coordinates: a per-pair
     integer base offset recentres each fractional difference into
-    [-0.5, 0.5).  A displacement with fractional components ``f`` is at
-    least ``|f_i| * spacing_i`` long (its projection on the normal of the
-    planes spanned by the other two axes), so an image within ``r`` has
-    ``|k_i| <= r / spacing_i + 0.5``, and the scan covers
-    ``K_i = floor(r / spacing_i + 0.5)`` each way (plus 1e-9, so rounding
-    in the spacings cannot drop an image at exactly ``r``).  Raises
-    ``ValueError`` before allocating when the estimated peak exceeds
+    [-0.5, 0.5), and the scan covers ``image_box(lattice, r)`` around it.
+    Raises ``ValueError`` before allocating when the estimated peak exceeds
     ``MAX_GRID_BYTES``: about 2.8 times the float64 image grid, since the
     grid's product with the lattice, the squares inside ``np.linalg.norm``
     and the distances are alive together.
     """
     n = crystal.n_atoms
-    dst = np.arange(n) if dst is None else np.asarray(dst, dtype=int)
-    src = np.arange(n) if src is None else np.asarray(src, dtype=int)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    bound = np.floor(r / interplanar_spacings(crystal.lattice) + 0.5 + 1e-9).astype(int)
+    bound = image_box(crystal.lattice, r)
     # eight float64s and three bool masks per (dst, src, offset) triple at peak
-    peak_bytes = dst.size * src.size * math.prod(2 * k + 1 for k in bound.tolist()) * (8 * 8 + 3)
+    peak_bytes = n * n * math.prod(2 * k + 1 for k in bound) * (8 * 8 + 3)
     if peak_bytes > MAX_GRID_BYTES:
         raise ValueError(
             f"neighbor search over {n} atoms at r={r:.3f} would need {peak_bytes / 2**20:.0f} MiB "
@@ -158,15 +151,15 @@ def neighbor_candidates(crystal: Crystal, r: float, dst=None, src=None):
         )
     offs = np.stack(np.meshgrid(*(np.arange(-k, k + 1) for k in bound), indexing="ij"), axis=-1).reshape(-1, 3)
     frac = crystal.frac_coords
-    diff = frac[src][None, :, :] - frac[dst][:, None, :]  # f_src - f_dst
+    diff = frac[None, :, :] - frac[:, None, :]  # f_src - f_dst
     base = np.floor(diff + 0.5)
     recentred = diff - base
     vecs = (recentred[:, :, None, :] + offs[None, None, :, :]) @ crystal.lattice
     dist = np.linalg.norm(vecs, axis=-1)
-    zero_self = (src[None, :] == dst[:, None])[:, :, None] & (dist < 1e-12)
-    a, b, p = np.nonzero((dist <= r) & ~zero_self)
-    image = (offs[p] - base[a, b]).astype(int)
-    return dst[a], src[b], image, dist[a, b, p]
+    zero_self = np.eye(n, dtype=bool)[:, :, None] & (dist < 1e-12)
+    dst, src, p = np.nonzero((dist <= r) & ~zero_self)
+    image = (offs[p] - base[dst, src]).astype(int)
+    return dst, src, image, dist[dst, src, p]
 
 
 def _density_radius(crystal: Crystal, images_needed: int, per_pair: bool) -> float:
@@ -177,18 +170,16 @@ def _density_radius(crystal: Crystal, images_needed: int, per_pair: bool) -> flo
     return 1.3 * r
 
 
-def grow_candidates(crystal: Crystal, need: int, per_pair: bool = False, dst=None, src=None):
-    """``(r, neighbor_candidates(crystal, r, dst, src))`` at the first radius
-    where each destination (each ordered pair when ``per_pair``) has at least
+def grow_candidates(crystal: Crystal, need: int, per_pair: bool = False):
+    """``(r, neighbor_candidates(crystal, r))`` at the first radius where each
+    destination atom (each ordered atom pair when ``per_pair``) has at least
     ``need`` candidates, growing 1.5x from a uniform-density guess."""
     n = crystal.n_atoms
-    dst = np.arange(n) if dst is None else np.asarray(dst, dtype=int)
-    src = np.arange(n) if src is None else np.asarray(src, dtype=int)
     r = _density_radius(crystal, need, per_pair)
     while True:
-        cand = neighbor_candidates(crystal, r, dst, src)
-        counts = np.bincount(cand[0] * n + cand[1], minlength=n * n).reshape(n, n)[np.ix_(dst, src)]
-        if (counts if per_pair else counts.sum(axis=1)).min() >= need:
+        cand = neighbor_candidates(crystal, r)
+        keys, size = (cand[0] * n + cand[1], n * n) if per_pair else (cand[0], n)
+        if np.bincount(keys, minlength=size).min() >= need:
             return r, cand
         r *= 1.5
 
@@ -204,52 +195,19 @@ def _rank_distances(dst: np.ndarray, dist: np.ndarray, rank: int) -> np.ndarray:
     return dist[order][_rank_in_group(dst[order]) == rank - 1]
 
 
-def image_distances(
-    crystal: Crystal,
-    i: int,
-    j: int,
-    radius: float | None = None,
-    count: int | None = None,
-) -> list[tuple[float, LatticeImage]]:
-    """Sorted image distances between nodes ``j`` (source) and ``i``.
-
-    With ``radius``, returns every image with distance <= radius ascending.
-    With ``count``, returns exactly the ``count`` smallest, ties broken
-    lexicographically by image index.  The zero self-pair is excluded.
-    """
-    if (radius is None) == (count is None):
-        raise ValueError("specify exactly one of radius or count")
-    n = crystal.n_atoms
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node indices ({i}, {j}) out of range for {n} atoms")
-    if radius is not None:
-        _, _, image, dist = neighbor_candidates(crystal, radius, [i], [j])
-    else:
-        _, (_, _, image, dist) = grow_candidates(crystal, count, per_pair=True, dst=[i], src=[j])
-    order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], dist))[:count]
-    return [(float(dist[p]), LatticeImage(tuple(image[p]))) for p in order]
-
-
-def adaptive_radius(crystal: Crystal, i: int, rank: int = 12) -> float:
-    """Rank-th smallest image distance (with multiplicity) from node ``i``.
-
-    A deterministic function of the node's distance multiset, hence
-    unchanged by boundary shifts, supercell scaling, and E(3) maps.
-    """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    _, (dst, _, _, dist) = grow_candidates(crystal, rank, dst=[i])
-    return float(_rank_distances(dst, dist, rank)[0])
-
-
 def build_radius_graph(crystal: Crystal, neighbor_rank: int = 12) -> CrystalGraph:
     """Multi-edge graph with per-node adaptive radius.
 
-    Node ``i`` receives one edge per image of every node within
-    ``adaptive_radius(crystal, i, neighbor_rank)`` of it, inclusive of the
-    boundary (with the shared distance tolerance), so the image defining
-    the radius is itself an edge and every node has >= neighbor_rank edges.
+    Node ``i``'s radius, recorded in ``meta.node_radii``, is its
+    ``neighbor_rank``-th smallest image distance (with multiplicity): a
+    function of the node's distance multiset, hence unchanged by boundary
+    shifts, supercell scaling and E(3) maps.  The node receives one edge per
+    image of every node within that radius, inclusive of the boundary (with
+    the shared distance tolerance), so the image defining the radius is
+    itself an edge and every node has >= neighbor_rank edges.
     """
+    if neighbor_rank < 1:
+        raise ValueError("neighbor_rank must be >= 1")
     r, cand = grow_candidates(crystal, neighbor_rank)
     radii = _rank_distances(cand[0], cand[3], neighbor_rank)
     if radii.max() + DIST_TOL > r:

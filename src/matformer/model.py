@@ -56,6 +56,10 @@ class ModelConfig:
             raise ValueError(f"unknown attention variant {self.attention_variant!r}")
         if self.activation not in engine.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.neighbor_rank < 1 or self.readout_hidden < 1:
+            raise ValueError("neighbor_rank and readout_hidden must be >= 1")
+        if self.rbf_kernels < 2 or not self.rbf_hi > self.rbf_lo:
+            raise ValueError("need rbf_kernels >= 2 and rbf_hi > rbf_lo")
 
 
 def attention_gate(alpha: Tensor, dst, n_nodes: int, variant: str,

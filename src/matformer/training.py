@@ -185,6 +185,8 @@ def train(
     is trained together with the batch before it (see ``_epoch_batches``).
     Fully deterministic for a fixed config seed and model.
     """
+    if not val_records:
+        raise ValueError("the validation set is empty; best-checkpoint selection needs at least one crystal")
     atoms = np.array([r.crystal.n_atoms for r in train_records], dtype=int)
     if atoms.sum() < 2:
         raise ValueError(

@@ -22,7 +22,6 @@ from matformer.graphs import (
     Edge,
     GraphMeta,
     grow_candidates,
-    image_bound,
     neighbor_candidates,
     self_connecting_distances,
 )
@@ -80,6 +79,12 @@ def cross_product_spacings(lattice):
     return np.array([vol / np.linalg.norm(f) for f in faces])
 
 
+def loose_image_bound(lattice, r):
+    """Per-axis bound ceil(r / spacing_i): an image within r of an atom whose
+    fractional difference from it lies in (-1, 1) has |k_i| <= bound_i + 1."""
+    return tuple(int(np.ceil(r / d)) for d in cross_product_spacings(lattice))
+
+
 def one_hot_atoms(atomic_numbers, dim=119):
     """(n, dim) rows with a single 1 at each atomic number."""
     z = np.asarray(atomic_numbers, dtype=int)
@@ -117,7 +122,7 @@ def loop_knn_distance_only(crystal, k, perturbation_seed=0):
     frac = crystal.frac_coords
     rng = np.random.default_rng(perturbation_seed)
     r, _ = grow_candidates(crystal, k)
-    bound = image_bound(crystal.lattice, r)
+    bound = loose_image_bound(crystal.lattice, r)
     edges = []
     node_radii = np.zeros(n)
     for i in range(n):

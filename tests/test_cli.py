@@ -224,6 +224,12 @@ class TestRunConfig:
         with pytest.raises(SystemExit, match=r"model\.use_self_edges.*'maybe'"):
             self.train_with(tmp_path, "model.use_self_edges=maybe\n")
 
+    def test_rejected_config_value_exits(self, tmp_path):
+        self.TINY = self.TINY.replace("model.readout_hidden=4", "model.readout_hidden=0")
+        with pytest.raises(SystemExit, match="invalid run config: .*readout_hidden"):
+            self.train_with(tmp_path, "")
+        assert not (tmp_path / "run").exists()
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):

@@ -10,19 +10,23 @@ from matformer.crystal import crystal_from_frac, shift_boundary, supercell
 from matformer.graphs import (
     NEIGHBOR,
     SELF_CONNECTING,
-    adaptive_radius,
     add_self_connecting_edges,
     build_radius_graph,
     build_t_fully_connected,
-    image_bound,
-    image_distances,
+    image_box,
     interplanar_spacings,
     lattice_gram_from_six,
     neighbor_candidates,
     self_connecting_distances,
 )
 from matformer.synthetic import lattice_from_parameters, random_crystal
-from oracles import brute_adaptive_radius, brute_image_distances, brute_radius_edges, cross_product_spacings
+from oracles import (
+    brute_adaptive_radius,
+    brute_image_distances,
+    brute_radius_edges,
+    cross_product_spacings,
+    loose_image_bound,
+)
 
 HEX_LATTICE = np.array([[1.0, 0.0, 0.0], [-0.5, np.sqrt(3) / 2, 0.0], [0.0, 0.0, 2.0]])
 
@@ -39,28 +43,35 @@ def incoming_distances(graph, node):
 
 class TestImageBound:
     def test_cubic_sqrt2(self):
-        assert image_bound(np.eye(3), np.sqrt(2)) == (2, 2, 2)
+        assert image_box(np.eye(3), np.sqrt(2)) == (1, 1, 1)
 
     def test_cubic_half(self):
-        assert image_bound(np.eye(3), 0.5) == (1, 1, 1)
+        # an atom half a cell away has an image at exactly r = 0.5 one cell out
+        assert image_box(np.eye(3), 0.5) == (1, 1, 1)
+        assert image_box(np.eye(3), 0.49) == (0, 0, 0)
 
     def test_hexagonal_third_axis(self):
-        k = image_bound(HEX_LATTICE, 2.0)
+        k = image_box(HEX_LATTICE, 2.0)
         assert k[2] == 1
 
     def test_rejects_non_positive_radius(self):
         with pytest.raises(ValueError):
-            image_bound(np.eye(3), 0.0)
+            image_box(np.eye(3), 0.0)
 
     def test_completeness_vs_exhaustive_scan(self):
-        # every image within r found by a wide scan satisfies |k_i| <= K_i + 1
-        c = crystal_from_frac([1, 6], [[0.05, 0.1, 0.9], [0.6, 0.4, 0.3]], HEX_LATTICE)
-        r = 2.0
-        bound = image_bound(c.lattice, r)
-        for i, j in itertools.product(range(2), repeat=2):
-            for d, k in brute_image_distances(c, i, j, 6):
-                if d <= r:
-                    assert all(abs(k[ax]) <= bound[ax] + 1 for ax in range(3))
+        # every image within r found by a wide scan lies in the box around
+        # the recentred offset: |k_i + floor(f_j - f_i + 0.5)_i| <= K_i
+        # (atoms close to half a cell apart put images near the box's edge)
+        c = crystal_from_frac([1, 6, 8], [[0.05, 0.1, 0.9], [0.6, 0.4, 0.3], [0.53, 0.58, 0.42]], HEX_LATTICE)
+        frac = c.frac_coords
+        for i, j in itertools.product(range(3), repeat=2):
+            base = np.floor(frac[j] - frac[i] + 0.5)
+            found = brute_image_distances(c, i, j, 6)
+            for r in np.linspace(0.3, 2.9, 27):
+                box = image_box(c.lattice, r)
+                for d, k in found:
+                    if d <= r:
+                        assert all(abs(k[ax] + base[ax]) <= box[ax] for ax in range(3))
 
     def test_spacings_cubic(self):
         assert np.allclose(interplanar_spacings(2.0 * np.eye(3)), [2.0, 2.0, 2.0])
@@ -102,7 +113,7 @@ class TestNeighborCandidates:
         crystal, r = case
         dst, src, image, dist = neighbor_candidates(crystal, r)
         got = {(a, b, tuple(k)): d for a, b, k, d in zip(dst.tolist(), src.tolist(), image.tolist(), dist)}
-        kmax = max(image_bound(crystal.lattice, r)) + 2
+        kmax = max(loose_image_bound(crystal.lattice, r)) + 2
         want = {
             (i, j, k): d
             for i, j in itertools.product(range(crystal.n_atoms), repeat=2)
@@ -117,16 +128,14 @@ class TestNeighborCandidates:
     @given(triclinic_cases())
     @settings(max_examples=40, deadline=None)
     def test_distances_do_not_depend_on_box_or_subset(self, case):
+        # the search at r is, bit for bit and in order, the subset within r
+        # of a search over the larger box of a wider radius
         crystal, r = case
         full = neighbor_candidates(crystal, r)
         wide = neighbor_candidates(crystal, 1.7 * r)
         inside = wide[3] <= r
         for a, b in zip(full, wide):
             assert np.array_equal(a, b[inside])
-        i, j = crystal.n_atoms - 1, 0
-        pair = (full[0] == i) & (full[1] == j)
-        for a, b in zip(neighbor_candidates(crystal, r, [i], [j]), full):
-            assert np.array_equal(a, b[pair])
 
     @staticmethod
     def big_cell():
@@ -171,61 +180,27 @@ class TestNeighborCandidates:
         assert min(np.bincount(graph.edge_columns()[0], minlength=1029)) >= 12
 
 
-class TestImageDistances:
-    def test_cubic_shells(self):
-        got = [d for d, _ in image_distances(cubic(), 0, 0, radius=np.sqrt(3) + 1e-9)]
-        expect = [1.0] * 6 + [np.sqrt(2)] * 12 + [np.sqrt(3)] * 8
-        assert np.allclose(got, expect)
-
-    def test_body_center_cross_distance(self):
-        c = cubic(fracs=[[0, 0, 0], [0.5, 0.5, 0.5]], zs=[11, 17])
-        (d, _), *_ = image_distances(c, 0, 1, count=1)
-        assert d == pytest.approx(np.sqrt(3) / 2)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        c = random_crystal(rng, n_atoms=3)
-        for i, j in [(0, 1), (1, 2), (2, 2)]:
-            got = image_distances(c, i, j, radius=6.0)
-            expect = [t for t in brute_image_distances(c, i, j, 6) if t[0] <= 6.0]
-            assert np.allclose([d for d, _ in got], [d for d, _ in expect], atol=1e-10)
-
-    def test_invariant_under_shift(self):
-        rng = np.random.default_rng(12)
-        c = random_crystal(rng, n_atoms=2)
-        moved = shift_boundary(c, rng.uniform(-3, 3, 3))
-        a = [d for d, _ in image_distances(c, 0, 1, radius=7.0)]
-        b = [d for d, _ in image_distances(moved, 0, 1, radius=7.0)]
-        assert np.allclose(a, b, atol=1e-10)
-
-    def test_count_mode_tie_break(self):
-        got = image_distances(cubic(), 0, 0, count=3)
-        assert [k.k for _, k in got] == [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-
-    def test_bound_argument_validation(self):
-        with pytest.raises(ValueError):
-            image_distances(cubic(), 0, 0)
-        with pytest.raises(IndexError):
-            image_distances(cubic(), 0, 5, radius=1.0)
-
-
 class TestAdaptiveRadius:
     def test_cubic_single_atom(self):
-        assert adaptive_radius(cubic(), 0) == pytest.approx(np.sqrt(2))
+        assert build_radius_graph(cubic()).meta.node_radii[0] == pytest.approx(np.sqrt(2))
 
     def test_supercell_nodes_agree(self):
         s = supercell(cubic(), (2, 2, 2))
-        for node in range(s.n_atoms):
-            assert adaptive_radius(s, node) == pytest.approx(np.sqrt(2))
+        assert build_radius_graph(s).meta.node_radii == pytest.approx([np.sqrt(2)] * s.n_atoms)
 
     def test_rock_salt_fragment(self):
         c = crystal_from_frac([11, 17], [[0, 0, 0], [0.5, 0.5, 0.5]], 2.8 * np.eye(3))
+        radii = build_radius_graph(c).meta.node_radii
         for i in range(2):
-            assert adaptive_radius(c, i) == pytest.approx(brute_adaptive_radius(c, i, 12, 4))
+            assert radii[i] == pytest.approx(brute_adaptive_radius(c, i, 12, 4))
 
     def test_configurable_rank(self):
-        assert adaptive_radius(cubic(), 0, rank=6) == pytest.approx(1.0)
-        assert adaptive_radius(cubic(), 0, rank=19) == pytest.approx(np.sqrt(3))
+        assert build_radius_graph(cubic(), neighbor_rank=6).meta.node_radii[0] == pytest.approx(1.0)
+        assert build_radius_graph(cubic(), neighbor_rank=19).meta.node_radii[0] == pytest.approx(np.sqrt(3))
+
+    def test_rank_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="neighbor_rank must be >= 1"):
+            build_radius_graph(cubic(), neighbor_rank=0)
 
 
 class TestRadiusGraph:
@@ -281,7 +256,7 @@ class TestRadiusGraph:
             g = build_radius_graph(c)
             for node in range(c.n_atoms):
                 r = g.meta.node_radii[node]
-                kmax = max(image_bound(c.lattice, r)) + 2
+                kmax = max(loose_image_bound(c.lattice, r)) + 2
                 got = {
                     (e.src, e.image.k, round(e.distance, 9))
                     for e in g.edges

@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(attention_variant="softmax")
 
+    @pytest.mark.parametrize("field, value", [("neighbor_rank", 0), ("readout_hidden", 0), ("rbf_kernels", 1),
+                                              ("rbf_hi", 0.0), ("rbf_hi", -1.0)])
+    def test_degenerate_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
 
 class TestZeroParameters:
     def test_prediction_is_zero(self):

@@ -213,6 +213,14 @@ class TestSmallBatches:
             train(Matformer(TINY_MODEL, seed=0), records, records, TrainConfig(epochs=1, batch_size=1))
 
 
+    def test_empty_validation_set_rejected_up_front(self):
+        model = Matformer(TINY_MODEL, seed=0)
+        before = {k: p.values.copy() for k, p in model.parameters().items()}
+        with pytest.raises(ValueError, match="validation set is empty"):
+            train(model, make_records(4), [], TrainConfig(epochs=1, batch_size=4))
+        assert all(np.array_equal(p.values, before[k]) for k, p in model.parameters().items())
+
+
 class TestBestCheckpoint:
     def test_one_epoch_best_is_the_trained_model(self):
         records = make_records(4, seed=6)
