@@ -45,7 +45,10 @@ def cmd_build_graph(args) -> int:
     crystals = _load_crystals([args.input])
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
-        graph = build(crystal)
+        try:
+            graph = build(crystal)
+        except ValueError as err:
+            raise SystemExit(f"cannot build a {args.method} graph of {name}: {err}") from None
         text = io.graph_to_text(graph) if args.format == "text" else io.graph_to_json(graph)
         if args.out:
             io.atomic_write(args.out, text)
@@ -67,14 +70,17 @@ def cmd_audit(args) -> int:
         perturbation_seed=args.seed,
     )
     alphas = ((1, 1, 1),) if args.no_supercell else audit_mod.DEFAULT_ALPHAS
-    if args.mode == "periodic":
-        report = audit_mod.audit_periodic_invariance(
-            builder, crystals, args.trials, args.seed, alphas=alphas, name=args.builder
-        )
-    else:
-        report = audit_mod.audit_e3_invariance(
-            builder, crystals, args.trials, args.seed, name=args.builder
-        )
+    try:
+        if args.mode == "periodic":
+            report = audit_mod.audit_periodic_invariance(
+                builder, crystals, args.trials, args.seed, alphas=alphas, name=args.builder
+            )
+        else:
+            report = audit_mod.audit_e3_invariance(
+                builder, crystals, args.trials, args.seed, name=args.builder
+            )
+    except ValueError as err:
+        raise SystemExit(f"cannot audit the {args.builder} builder: {err}") from None
     payload = json.dumps(asdict(report), indent=1, allow_nan=False)
     if args.out:
         io.atomic_write(args.out, payload)
@@ -93,7 +99,10 @@ def cmd_featurize(args) -> int:
     embedding = GraphEmbedding(args.d_model, n_kernels=args.kernels, rng=rng)
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
-        prepared = prepare_graph(build(crystal), n_kernels=embedding.n_kernels, lo=embedding.lo, hi=embedding.hi)
+        try:
+            prepared = prepare_graph(build(crystal), n_kernels=embedding.n_kernels, lo=embedding.lo, hi=embedding.hi)
+        except ValueError as err:
+            raise SystemExit(f"cannot featurize {name}: {err}") from None
         with engine.no_grad():
             payload = json.dumps(
                 {
@@ -184,7 +193,10 @@ def cmd_train(args) -> int:
     records = _load_dataset(args)
     train_recs, val_recs, test_recs = _split(records, args.val_fraction, args.test_fraction, train_config.seed)
     if not val_recs:
-        val_recs = train_recs
+        raise SystemExit(
+            f"--val-fraction {args.val_fraction} leaves no validation crystal among {len(records)}; "
+            "best-checkpoint selection needs at least one: raise --val-fraction or add crystals"
+        )
     model = Matformer(model_config, seed=train_config.seed)
     result = training.train(model, train_recs, val_recs, train_config)
 
@@ -223,7 +235,10 @@ def cmd_predict(args) -> int:
             targets = io.parse_targets_csv(fh.read())
     rows = []
     for name, crystal in _load_crystals([args.data]):
-        pred = model.predict(crystal) * scale["std"] + scale["mean"]
+        try:
+            pred = model.predict(crystal) * scale["std"] + scale["mean"]
+        except FloatingPointError as err:
+            raise SystemExit(f"cannot predict {name}: {err}") from None
         rows.append((name, pred, targets.get(name, math.nan)))
     text = io.write_predictions_csv(rows)
     if args.out:

@@ -9,6 +9,11 @@ validated against central finite differences in the test suite.
 Inside ``with no_grad():`` ops record no tape, so the arrays a backward
 would read are freed as each op returns; outputs are still checked for
 non-finite values.  Prediction, validation and featurization run in it.
+
+Every op checks its output for non-finite values, except inside
+``with unchecked():``, where the caller checks what it returns instead
+(``Matformer.forward`` checks its output once and, on failure, runs again
+checked so the error names the op).
 """
 
 from __future__ import annotations
@@ -23,17 +28,28 @@ from dataclasses import dataclass
 import numpy as np
 
 _RECORDING = contextvars.ContextVar("matformer_engine_recording", default=True)
+_CHECKING = contextvars.ContextVar("matformer_engine_checking", default=True)
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Scope in which ops record no tape and their outputs need no gradient;
-    it is per thread and task, and ends with the ``with``, also on an exception."""
-    token = _RECORDING.set(False)
+def _scope(var: contextvars.ContextVar, value):
+    """``var`` holds ``value`` per thread and task until the ``with`` ends,
+    also on an exception."""
+    token = var.set(value)
     try:
         yield
     finally:
-        _RECORDING.reset(token)
+        var.reset(token)
+
+
+def no_grad():
+    """Scope in which ops record no tape and their outputs need no gradient."""
+    return _scope(_RECORDING, False)
+
+
+def unchecked():
+    """Scope in which ops skip the finite check of their outputs."""
+    return _scope(_CHECKING, False)
 
 
 def _finite(values: np.ndarray, op: str) -> np.ndarray:
@@ -47,6 +63,17 @@ def _accumulate(entry, g: np.ndarray) -> None:
     if entry.grad is None:
         # a fresh copy of 0.0 + g: the same bits as summing into zeros
         entry.grad = np.add(g, 0.0, out=np.empty(entry.shape))
+    else:
+        entry.grad += g
+
+
+def _adopt(entry, g: np.ndarray) -> None:
+    """``_accumulate`` for a ``g`` the backward closure has just allocated and
+    holds nowhere else: an op output's empty slot takes the array itself,
+    uncopied.  It may keep a -0.0 the copy would have made +0.0; the sign of
+    a zero gradient changes no nonzero value downstream."""
+    if entry.grad is None:
+        entry.grad = g
     else:
         entry.grad += g
 
@@ -74,6 +101,9 @@ class Tensor:
         return self.values.shape
 
     accumulate = _accumulate
+    # a leaf's gradient outlives backward, so it keeps the copy, which turns
+    # -0.0 into +0.0 and a 0-d result into an array: its bits never change
+    adopt = _accumulate
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -101,6 +131,7 @@ class _TapeEntry:
         self.backward_fn = backward_fn
 
     accumulate = _accumulate
+    adopt = _adopt
 
 
 def _as_tensor(x) -> Tensor:
@@ -117,7 +148,8 @@ def _grad_entry(t: Tensor):
 def _node(values, parents, backward_fn, op: str) -> Tensor:
     """An op's output; ``parents`` are its inputs' tape entries, or None."""
     out = Tensor(values)
-    _finite(out.values, op)
+    if _CHECKING.get():
+        _finite(out.values, op)
     if not _RECORDING.get():
         return out
     for p in parents:
@@ -224,9 +256,9 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         if ea is not None:
-            ea.accumulate(_unbroadcast(g * bv, ea.shape))
+            ea.adopt(_unbroadcast(g * bv, ea.shape))
         if eb is not None:
-            eb.accumulate(_unbroadcast(g * av, eb.shape))
+            eb.adopt(_unbroadcast(g * av, eb.shape))
 
     return _node(av * bv, (ea, eb), bw, "mul")
 
@@ -237,7 +269,7 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
 
     def bw(g):
-        ea.accumulate(g * c)
+        ea.adopt(g * c)
 
     return _node(a.values * c, (ea,), bw, "scale")
 
@@ -249,9 +281,9 @@ def matmul(a, b) -> Tensor:
 
     def bw(g):
         if ea is not None:
-            ea.accumulate(g @ bv.T)
+            ea.adopt(g @ bv.T)
         if eb is not None:
-            eb.accumulate(av.T @ g)
+            eb.adopt(av.T @ g)
 
     return _node(av @ bv, (ea, eb), bw, "matmul")
 
@@ -283,7 +315,7 @@ def sigmoid(a) -> Tensor:
     s = _sigmoid_values(a.values)
 
     def bw(g):
-        ea.accumulate(g * s * (1.0 - s))
+        ea.adopt(g * s * (1.0 - s))
 
     return _node(s, (ea,), bw, "sigmoid")
 
@@ -296,7 +328,7 @@ def silu(a) -> Tensor:
     s = _sigmoid_values(x)
 
     def bw(g):
-        ea.accumulate(g * (s + x * s * (1.0 - s)))
+        ea.adopt(g * (s + x * s * (1.0 - s)))
 
     return _node(x * s, (ea,), bw, "silu")
 
@@ -400,13 +432,18 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 
     def bw(g):
         if eg is not None:
-            eg.accumulate(_unbroadcast(g * xhat, eg.shape))
+            eg.adopt(_unbroadcast(g * xhat, eg.shape))
         if eb is not None:
             eb.accumulate(_unbroadcast(g, eb.shape))
         if ea is not None:
+            # (gh - mean(gh) - xhat * mean(gh * xhat)) * inv, in gh and one temporary
             gh = g * gv
-            term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-            ea.accumulate(term * inv)
+            tmp = np.multiply(gh, xhat)
+            mean_gh_xhat = tmp.mean(axis=-1, keepdims=True)
+            gh -= gh.mean(axis=-1, keepdims=True)
+            gh -= np.multiply(xhat, mean_gh_xhat, out=tmp)
+            gh *= inv
+            ea.adopt(gh)
 
     out = xhat * gv
     out += bias.values
@@ -489,7 +526,7 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool, eps: float
             if training:
                 # batch statistics depend on every row
                 gh = gh - gh.mean(axis=0) - xhat * (gh * xhat).mean(axis=0)
-            ea.accumulate(gh * inv)
+            ea.adopt(gh * inv)
 
     return _node(xhat * gv + beta.values, (ea, eg, eb), bw, "batch_norm")
 
@@ -538,7 +575,7 @@ def gather_rows(a, index) -> Tensor:
     index = np.asarray(index, dtype=int)
 
     def bw(g):
-        ea.accumulate(_segment_sum_np(g, index, ea.shape[0]))
+        ea.adopt(_segment_sum_np(g, index, ea.shape[0]))
 
     return _node(a.values[index], (ea,), bw, "gather_rows")
 
@@ -554,7 +591,7 @@ def scatter_sum(a, index, num_rows: int) -> Tensor:
     index = np.asarray(index, dtype=int)
 
     def bw(g):
-        ea.accumulate(g[index])
+        ea.adopt(g[index])
 
     return _node(_segment_sum_np(a.values, index, num_rows), (ea,), bw, "scatter_sum")
 

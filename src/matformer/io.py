@@ -347,13 +347,18 @@ def parse_run_config(text: str) -> dict[str, str]:
 # --- atomic writes ----------------------------------------------------------------
 
 
+# characters encoded per write: the encoder copies each slice, never the whole text
+_WRITE_SLICE = 1 << 20
+
+
 def atomic_write(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for lo in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[lo : lo + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

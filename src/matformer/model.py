@@ -225,10 +225,26 @@ class Matformer:
         return prepare_graph(self.build_graph(crystal), n_kernels=c.rbf_kernels, lo=c.rbf_lo, hi=c.rbf_hi)
 
     def forward(self, prepared: PreparedGraph, training: bool = False) -> Tensor:
-        """Predictions for each graph in the (possibly batched) input."""
+        """Predictions for each graph in the (possibly batched) input.
+
+        The ops skip their per-op finite checks and the output is checked
+        once.  If it is not finite, the forward runs again with every op
+        checked, which raises the ``FloatingPointError`` naming the first op
+        whose output is not finite.  In training mode that re-run, which
+        happens only on failure, updates the batch-norm running statistics a
+        second time.
+        """
         counts = np.bincount(prepared.dst, minlength=prepared.n_nodes)
         if counts.min() == 0:
             raise ValueError("isolated node: aggregation over an empty neighborhood is undefined")
+        with engine.unchecked():
+            out = self._forward(prepared, training)
+        if not np.isfinite(out.values).all():
+            self._forward(prepared, training)  # raises, naming the op
+            raise FloatingPointError("non-finite values produced by Matformer.forward")
+        return out
+
+    def _forward(self, prepared: PreparedGraph, training: bool) -> Tensor:
         node = self.embedding.node_input(prepared)
         edge = self.embedding.edge_input(prepared)
         for layer in self.layers:

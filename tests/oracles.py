@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the geometry and embedding tests.
+"""Independent brute-force oracles for the geometry, embedding and engine tests.
 
 These deliberately avoid the library's enumeration machinery: plain triple
 loops over a fixed image box, working on raw Cartesian positions, and the
@@ -91,6 +91,26 @@ def one_hot_atoms(atomic_numbers, dim=119):
     out = np.zeros((z.size, dim))
     out[np.arange(z.size), z] = 1.0
     return out
+
+
+def layer_norm_grads(a, gain, g, eps=1e-5):
+    """Input and gain gradients of ``engine.layer_norm`` for an upstream
+    gradient ``g``, as leaves receive them: the forward statistics as
+    ``np.var`` forms them, the out-of-place input formula
+    (gh - mean(gh) - xhat * mean(gh * xhat)) * inv, a broadcast gain's
+    gradient summed over the rows it was repeated over, and each copied as
+    0.0 + grad, the way a leaf took its first gradient."""
+    mean = a.mean(axis=-1, keepdims=True)
+    xhat = a - mean
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / a.shape[-1]
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xhat * inv
+    gh = g * gain
+    term = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+    d_gain = g * xhat
+    if gain.shape != d_gain.shape:
+        d_gain = d_gain.sum(axis=0, keepdims=gain.ndim == 2)
+    return term * inv + 0.0, d_gain + 0.0
 
 
 # --- loop references for the negative controls and the self-edge merge ---------

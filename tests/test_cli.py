@@ -57,6 +57,10 @@ class TestBuildGraph:
         data = json.loads(out.read_text())
         assert data["meta"]["self_edges"] is True
 
+    def test_builder_error_exits_with_its_message(self, cube_file):
+        with pytest.raises(SystemExit, match=r"^cannot build a tfc graph of cube: t must be >= 1$"):
+            main(["build-graph", cube_file, "--method", "tfc", "--t", "0"])
+
 
 class TestAudit:
     def test_invariant_builder_exits_zero(self, corpus_dir, tmp_path):
@@ -104,6 +108,10 @@ class TestAudit:
         report = json.loads(out.read_text(), parse_constant=reject)
         assert report["witness"]["discrepancy"] == report["worst_discrepancy"] == np.finfo(float).max
 
+    def test_builder_error_exits_with_its_message(self, cube_file):
+        with pytest.raises(SystemExit, match=r"^cannot audit the radius builder: neighbor_rank must be >= 1$"):
+            main(["audit", cube_file, "--rank", "0", "--trials", "1"])
+
     def test_e3_mode(self, corpus_dir):
         assert main(["audit", corpus_dir, "--builder", "tfc", "--mode", "e3", "--trials", "3"]) == 0
 
@@ -125,6 +133,12 @@ class TestFeaturize:
         data = json.loads(out.read_text())
         assert len(data["node_input"][0]) == 8
         assert len(data["edge_input"]) == 18
+
+    def test_builder_error_exits_with_its_message(self, cube_file):
+        with pytest.raises(SystemExit, match=r"^cannot featurize cube: t must be >= 1$"):
+            main(["featurize", cube_file, "--method", "tfc", "--t", "0"])
+        with pytest.raises(SystemExit, match=r"^cannot featurize cube: need at least two kernels$"):
+            main(["featurize", cube_file, "--kernels", "1"])
 
 
 class TestTrainPredict:
@@ -194,6 +208,13 @@ class TestPredictCheckpoint:
         with pytest.raises(SystemExit, match=f"cannot load checkpoint {re.escape(path)}: .*format_version 7"):
             main(["predict", "--checkpoint", path, "--data", corpus_dir])
 
+    def test_non_finite_prediction_exits_naming_the_crystal_and_op(self, corpus_dir, tmp_path):
+        model = Matformer(ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4), seed=3)
+        model.readout_w2.values[0, 0] = np.nan
+        path = self.write_checkpoint(tmp_path, json.dumps(model.to_checkpoint()))
+        with pytest.raises(SystemExit, match=r"^cannot predict c0: non-finite values produced by matmul$"):
+            main(["predict", "--checkpoint", path, "--data", corpus_dir])
+
     def test_version_1_checkpoint_predicts(self, corpus_dir, capsys):
         fixture = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
         assert main(["predict", "--checkpoint", fixture, "--data", corpus_dir]) == 0
@@ -223,6 +244,13 @@ class TestRunConfig:
     def test_bad_bool_value_is_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match=r"model\.use_self_edges.*'maybe'"):
             self.train_with(tmp_path, "model.use_self_edges=maybe\n")
+
+    def test_empty_validation_split_exits_before_training(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.TINY)
+        with pytest.raises(SystemExit, match=r"--val-fraction 0\.1 leaves no validation crystal among 8"):
+            main(["train", "--synthetic", "8", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+        assert not (tmp_path / "run").exists()
 
     def test_rejected_config_value_exits(self, tmp_path):
         self.TINY = self.TINY.replace("model.readout_hidden=4", "model.readout_hidden=0")

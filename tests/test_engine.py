@@ -18,6 +18,7 @@ from matformer.engine import (
     segment_mean,
     segment_softmax,
 )
+from oracles import layer_norm_grads
 
 RNG = np.random.default_rng(100)
 
@@ -269,6 +270,72 @@ class TestNoGrad:
         w = param(())
         backward(w)
         assert np.array_equal(w.grad, np.ones(()))
+
+
+class TestUnchecked:
+    """Inside unchecked() ops skip the finite check of their outputs."""
+
+    def test_ops_inside_skip_the_check(self):
+        with engine.unchecked(), np.errstate(over="ignore"):
+            out = engine.exp(Tensor(np.array([1e6])))
+        assert np.isinf(out.values).all()
+
+    def test_scope_is_restored_after_an_exception(self):
+        with pytest.raises(ValueError, match="inside"):
+            with engine.unchecked():
+                raise ValueError("raised inside the scope")
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="exp"):
+            engine.exp(Tensor(np.array([1e6])))
+
+
+class TestAdoptedGradients:
+    """A slot takes over an array its closure allocated; a g that other slots may get is copied."""
+
+    def test_the_two_inputs_of_an_add_get_separate_arrays(self):
+        p, q = param((3, 4)), param((3, 4))
+        w1, w2, w3 = (RNG.standard_normal((3, 4)) for _ in range(3))
+        u, v = engine.scale(p, 1.0), engine.scale(q, 1.0)
+        # u's and v's slots both take the add's gradient, then one more each
+        terms = [engine.tensor_sum(engine.mul(x, Tensor(w))) for x, w in ((engine.add(u, v), w1), (u, w2), (v, w3))]
+        backward(engine.add(engine.add(terms[0], terms[1]), terms[2]))
+        assert np.array_equal(p.grad, w1 + w2) and np.array_equal(q.grad, w1 + w3)
+
+    def test_a_leaf_gradient_holds_no_negative_zero(self):
+        w = param((2,))
+        backward(engine.tensor_sum(engine.mul(w, Tensor(np.array([0.0, -0.0])))))
+        assert not np.signbit(w.grad).any()
+
+    def test_a_scalar_leaf_gets_an_array_gradient(self):
+        w = param(())
+        backward(engine.scale(engine.mul(w, w), 3.0))
+        assert isinstance(w.grad, np.ndarray) and np.array_equal(w.grad, 6.0 * w.values)
+
+
+@st.composite
+def _layer_norm_cases(draw):
+    rows = draw(st.integers(1, 12))
+    # (E, d) and (E, 3d) at the compact and the paper widths
+    dim = draw(st.sampled_from([2, 8, 24, 128, 384]))
+    gain_shape = draw(st.sampled_from([(dim,), (1, dim), (rows, dim)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((rows, dim)) * 10.0 ** draw(st.integers(-3, 3))
+    return x, rng.standard_normal(gain_shape), rng.standard_normal((rows, dim))
+
+
+class TestLayerNormBackwardOracle:
+    """The in-place layer-norm backward against the out-of-place formula, compared bit for bit."""
+
+    @given(_layer_norm_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_gradients_match_the_out_of_place_formula(self, case):
+        x, gain_values, g = case
+        a, gain = Tensor(x, requires_grad=True), Tensor(gain_values, requires_grad=True)
+        bias = Tensor(np.zeros(x.shape[-1]), requires_grad=True)
+        # d(sum(out * g))/d(out) is g itself
+        backward(engine.tensor_sum(engine.mul(layer_norm(a, gain, bias), Tensor(g))))
+        d_a, d_gain = layer_norm_grads(x, gain_values, g)
+        assert a.grad.tobytes() == d_a.tobytes()
+        assert gain.grad.shape == gain_values.shape and gain.grad.tobytes() == d_gain.tobytes()
 
 
 def _add_at(x, index, num_rows):

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,24 @@ class TestAtomicWrite:
         path.write_text("old")
         io.atomic_write(str(path), "new")
         assert path.read_text() == "new"
+
+    def test_text_longer_than_a_slice_keeps_every_byte(self, tmp_path):
+        path = tmp_path / "out.txt"
+        text = "αβγ,€\n" * 300_000  # 1.8 M characters, multibyte in UTF-8
+        io.atomic_write(str(path), text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_large_text_is_encoded_a_slice_at_a_time(self, tmp_path):
+        path = tmp_path / "out.txt"
+        text = "0123456789abcde\n" * (1 << 21)  # 32 MiB
+        tracemalloc.start()
+        try:
+            io.atomic_write(str(path), text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == text.encode("utf-8")
+        assert peak < 8 * 2**20, f"writing 32 MiB of text peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestDatasetRecord:

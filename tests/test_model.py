@@ -457,7 +457,44 @@ class TestInference:
         assert peak < 128 * 2**20, f"predict peaked at {peak / 2**20:.1f} MiB in {seconds:.2f} s"
 
 
+class TestCheckedForward:
+    """forward checks its output once; on failure a checked re-run names the op."""
+
+    def golden_model(self):
+        model = Matformer(ModelConfig(**GOLDEN_CONFIG), seed=66)
+        return model, random_corpus(1, seed=67, n_atoms_max=2)[0]
+
+    def test_a_finite_forward_runs_no_per_op_check(self, monkeypatch):
+        checked = []
+        real = engine._finite
+        monkeypatch.setattr(engine, "_finite", lambda values, op: checked.append(op) or real(values, op))
+        model, crystal = self.golden_model()
+        model.forward(model.prepare(crystal), training=True)
+        model.predict(crystal)
+        assert checked == []
+        engine.silu(Tensor(np.ones(3)))  # outside forward, every op still checks
+        assert checked == ["silu"]
+
+    @pytest.mark.parametrize("weight, op", [("readout_w2", "matmul"), ("msg_ln_gain", "layer_norm")])
+    def test_non_finite_prediction_names_the_first_op(self, weight, op):
+        model, crystal = self.golden_model()
+        owner = model if weight.startswith("readout") else model.layers[0]
+        getattr(owner, weight).values[0] = np.nan
+        with pytest.raises(FloatingPointError, match=f"non-finite values produced by {op}$"):
+            model.predict(crystal)
+
+
 class TestGradients:
+    def test_paper_config_leaf_gradients_share_no_memory(self):
+        model = Matformer(ModelConfig(), seed=5)
+        prepared = batch_prepared([model.prepare(c) for c in random_corpus(2, seed=7, n_atoms_max=3)])
+        backward(engine.tensor_sum(model.forward(prepared, training=True)))
+        grads = [(name, p.grad) for name, p in model.parameters().items()]
+        assert all(g is not None for _, g in grads)
+        for i, (name, g) in enumerate(grads):
+            for other, h in grads[i + 1:]:
+                assert not np.shares_memory(g, h), (name, other)
+
     def test_small_model_passes_finite_differences(self):
         cfg = ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4)
         model = Matformer(cfg, seed=12)

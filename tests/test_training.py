@@ -148,7 +148,7 @@ class TestTrainLoop:
         model = Matformer(TINY_MODEL, seed=0)
         model.readout_w2.values[:] = np.nan
         config = TrainConfig(lr_max=1e-3, epochs=1, batch_size=2, seed=0)
-        with pytest.raises(TrainingDivergedError, match="epoch 0"):
+        with pytest.raises(TrainingDivergedError, match="epoch 0 .*produced by matmul"):
             train(model, records, records, config)
 
     def test_best_checkpoint_tracks_val(self):
