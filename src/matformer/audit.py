@@ -21,11 +21,11 @@ from .graphs import (
     KIND_ORDER,
     NEIGHBOR,
     CrystalGraph,
+    EdgeTable,
     GraphMeta,
     add_self_connecting_edges,
     build_radius_graph,
     build_t_fully_connected,
-    edges_from_columns,
     grow_candidates,
     image_box,
     neighbor_candidates,
@@ -40,47 +40,66 @@ GraphBuilder = Callable[[Crystal], CrystalGraph]
 # --- canonical signatures -----------------------------------------------------
 
 
-def node_signatures(graph: CrystalGraph) -> list[tuple]:
-    """Per-node sorted multiset of (rounded distance, kind, source species, distance).
+def rounded_distances(distance: np.ndarray) -> np.ndarray:
+    """Each distance rounded to 9 decimals, bit for bit as the builtin
+    ``round(d, 9)``, which rounds the exact decimal value (``np.round``
+    lands on the other side of many near-halfway distances).
+
+    ``d * 1e9`` is within half an ulp of the exact product, so its nearest
+    integer is the builtin's unless it lies within a few ulps of a halfway
+    point; those distances go through ``round`` itself.  An integer below
+    2**53 divided by 1e9 is the double nearest its decimal value, which is
+    what ``round`` returns.
+    """
+    scaled = distance * 1e9
+    whole = np.rint(scaled)
+    out = whole / 1e9
+    near_half = np.abs(np.abs(scaled - whole) - 0.5) <= 4 * np.spacing(np.abs(scaled))
+    out[near_half] = [round(d, 9) for d in distance[near_half].tolist()]
+    return out
+
+
+def node_signatures(graph: CrystalGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node sorted multisets of (rounded distance, kind, source species,
+    distance) entries, as ``(counts, entries)``: each node's entry count and
+    the (E, 4) entries grouped by node in index order.
 
     Entries sort by the distance rounded to 9 decimals, so that equal
     distances computed with different rounding errors line up; comparisons
     use the exact distance, so two values that straddle a rounding boundary
     differ by their true difference, not by a whole rounding step.
     """
-    incoming: list[list[tuple]] = [[] for _ in range(graph.n_nodes)]
+    e = graph.edges
+    species = graph.node_atomic_numbers[e.src]
+    key = rounded_distances(e.distance)
+    order = np.lexsort((e.distance, species, e.kind, key, e.dst))
+    entries = np.column_stack((key, e.kind, species, e.distance))[order]
+    return np.bincount(e.dst, minlength=graph.n_nodes), entries
+
+
+def graph_signature(graph: CrystalGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Permutation- and index-free signature ``(species, counts, entries)``
+    of nodes sorted by (species, node signature) the way tuples compare:
+    entry by entry, a signature that is a prefix of another first."""
+    counts, entries = node_signatures(graph)
     z = graph.node_atomic_numbers
-    for e in graph.edges:
-        incoming[e.dst].append((round(e.distance, 9), KIND_ORDER[e.kind], int(z[e.src]), e.distance))
-    return [tuple(sorted(sig)) for sig in incoming]
-
-
-def graph_signature(graph: CrystalGraph) -> tuple:
-    """Permutation- and index-free signature: nodes sorted by (species, sig)."""
-    sigs = node_signatures(graph)
-    z = graph.node_atomic_numbers
-    return tuple(sorted((int(z[i]), sigs[i]) for i in range(graph.n_nodes)))
-
-
-def _max_node_discrepancy(pairs) -> float:
-    """Max distance discrepancy over ``((z_a, sig_a), (z_b, sig_b))`` node
-    pairs, or inf on any structural mismatch (species, edge count, kind or
-    source species)."""
-    worst = 0.0
-    for (za, na), (zb, nb) in pairs:
-        if za != zb or len(na) != len(nb):
-            return np.inf
-        for (_, ka, sa, da), (_, kb, sb, db) in zip(na, nb):
-            if ka != kb or sa != sb:
-                return np.inf
-            worst = max(worst, abs(da - db))
-    return worst
+    # one row per node, padded with -inf, which sorts below every entry value
+    rows = np.full((z.size, counts.max(initial=0), entries.shape[1]), -np.inf)
+    slot = np.arange(len(entries)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows[np.repeat(np.arange(z.size), counts), slot] = entries
+    order = np.lexsort(np.vstack((rows.reshape(z.size, -1).T[::-1], z)))
+    filled = np.arange(rows.shape[1]) < counts[order, None]
+    return z[order], counts[order], rows[order][filled]
 
 
 def signature_discrepancy(sig_a: tuple, sig_b: tuple) -> float:
-    if len(sig_a) != len(sig_b):
+    """Max distance discrepancy between matching entries of two signatures,
+    or inf on any structural mismatch (node count, species, entry count,
+    kind or source species)."""
+    (za, ca, ea), (zb, cb, eb) = sig_a, sig_b
+    if not (np.array_equal(za, zb) and np.array_equal(ca, cb) and np.array_equal(ea[:, 1:3], eb[:, 1:3])):
         return np.inf
-    return _max_node_discrepancy(zip(sig_a, sig_b))
+    return float(np.abs(ea[:, 3] - eb[:, 3]).max(initial=0.0))
 
 
 def quotient_discrepancy(base_graph: CrystalGraph, super_graph: CrystalGraph, n_base: int) -> float:
@@ -92,9 +111,10 @@ def quotient_discrepancy(base_graph: CrystalGraph, super_graph: CrystalGraph, n_
     """
     if super_graph.n_nodes % n_base != 0 or base_graph.n_nodes != n_base:
         return np.inf
-    base = list(zip(base_graph.node_atomic_numbers.tolist(), node_signatures(base_graph)))
-    nodes = zip(super_graph.node_atomic_numbers.tolist(), node_signatures(super_graph))
-    return _max_node_discrepancy((base[s % n_base], node) for s, node in enumerate(nodes))
+    reps = super_graph.n_nodes // n_base
+    counts, entries = node_signatures(base_graph)
+    base = np.tile(base_graph.node_atomic_numbers, reps), np.tile(counts, reps), np.tile(entries, (reps, 1))
+    return signature_discrepancy(base, (super_graph.node_atomic_numbers, *node_signatures(super_graph)))
 
 
 # --- audit harness ------------------------------------------------------------
@@ -232,8 +252,8 @@ def ocgraph_builder(crystal: Crystal, r: float) -> CrystalGraph:
     nodes = np.unique(np.concatenate([in_cell, np.column_stack([atom, image])]), axis=0)
     positions = crystal.positions[nodes[:, 0]] + nodes[:, 1:].astype(float) @ crystal.lattice
     dst, src = np.nonzero(~np.eye(len(nodes), dtype=bool))
-    edges = edges_from_columns(dst, src, np.zeros((dst.size, 3), dtype=int), _norms(positions[src] - positions[dst]),
-                               np.full_like(dst, KIND_ORDER[NEIGHBOR]))
+    edges = EdgeTable(dst, src, np.zeros((dst.size, 3), dtype=int), _norms(positions[src] - positions[dst]),
+                      np.full_like(dst, KIND_ORDER[NEIGHBOR]))
     meta = GraphMeta(method="ocgraph", radius=float(r))
     return CrystalGraph(node_atomic_numbers=crystal.atomic_numbers[nodes[:, 0]], edges=edges, meta=meta)
 
@@ -273,7 +293,7 @@ def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int =
     meta = GraphMeta(method="knn", neighbor_rank=k, node_radii=tuple(map(float, node_radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        edges=edges_from_columns(dst, src, image, dist, np.full_like(dst, KIND_ORDER[NEIGHBOR])),
+        edges=EdgeTable(dst, src, image, dist, np.full_like(dst, KIND_ORDER[NEIGHBOR])),
         meta=meta,
     )
 

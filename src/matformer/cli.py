@@ -23,21 +23,35 @@ from .featurize import GraphEmbedding, prepare_graph
 from .model import Matformer, ModelConfig
 
 
+class CannotRun(SystemExit):
+    """A command that could not run: its one-line message goes to stderr
+    (printed by ``main``) and the exit status is 2, as for argparse's usage
+    errors, so that status 1 keeps meaning "violations found" in ``audit``."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.code = 2
+
+
 def _load_crystals(paths: list[str]) -> list[tuple[str, "object"]]:
-    out = []
+    files = []
     for path in paths:
         if os.path.isdir(path):
-            entries = sorted(
+            files.extend(sorted(
                 p
                 for p in glob.glob(os.path.join(path, "*"))
                 if p.endswith(".json") or "POSCAR" in os.path.basename(p) or p.endswith(".poscar")
-            )
-            for p in entries:
-                out.append((os.path.splitext(os.path.basename(p))[0], io.read_crystal(p)))
+            ))
         else:
+            files.append(path)
+    if not files:
+        raise CannotRun("no crystal files found")
+    out = []
+    for path in files:
+        try:
             out.append((os.path.splitext(os.path.basename(path))[0], io.read_crystal(path)))
-    if not out:
-        raise SystemExit("no crystal files found")
+        except (OSError, ValueError) as err:
+            raise CannotRun(f"cannot read {path}: {err}") from None
     return out
 
 
@@ -48,7 +62,7 @@ def cmd_build_graph(args) -> int:
         try:
             graph = build(crystal)
         except ValueError as err:
-            raise SystemExit(f"cannot build a {args.method} graph of {name}: {err}") from None
+            raise CannotRun(f"cannot build a {args.method} graph of {name}: {err}") from None
         text = io.graph_to_text(graph) if args.format == "text" else io.graph_to_json(graph)
         if args.out:
             io.atomic_write(args.out, text)
@@ -80,7 +94,7 @@ def cmd_audit(args) -> int:
                 builder, crystals, args.trials, args.seed, name=args.builder
             )
     except ValueError as err:
-        raise SystemExit(f"cannot audit the {args.builder} builder: {err}") from None
+        raise CannotRun(f"cannot audit the {args.builder} builder: {err}") from None
     payload = json.dumps(asdict(report), indent=1, allow_nan=False)
     if args.out:
         io.atomic_write(args.out, payload)
@@ -102,7 +116,7 @@ def cmd_featurize(args) -> int:
         try:
             prepared = prepare_graph(build(crystal), n_kernels=embedding.n_kernels, lo=embedding.lo, hi=embedding.hi)
         except ValueError as err:
-            raise SystemExit(f"cannot featurize {name}: {err}") from None
+            raise CannotRun(f"cannot featurize {name}: {err}") from None
         with engine.no_grad():
             payload = json.dumps(
                 {
@@ -326,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CannotRun as err:
+        print(err, file=sys.stderr)
+        raise
 
 
 if __name__ == "__main__":

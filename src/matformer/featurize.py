@@ -62,12 +62,12 @@ class PreparedGraph:
 
 
 def prepare_graph(graph: CrystalGraph, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0) -> PreparedGraph:
-    dst, src, _, dist, _ = graph.edge_columns()
+    edges = graph.edges
     return PreparedGraph(
         atomic_numbers=graph.node_atomic_numbers,
-        edge_rbf=rbf_expand(dist, n_kernels=n_kernels, lo=lo, hi=hi),
-        src=src,
-        dst=dst,
+        edge_rbf=rbf_expand(edges.distance, n_kernels=n_kernels, lo=lo, hi=hi),
+        src=edges.src,
+        dst=edges.dst,
         graph_ids=np.zeros(graph.n_nodes, dtype=int),
         n_graphs=1,
     )

@@ -39,7 +39,8 @@ KIND_ORDER = {kind: code for code, kind in enumerate(KINDS)}
 
 @dataclass(frozen=True)
 class Edge:
-    """Directed edge from the image ``src + image`` to atom ``dst``."""
+    """Directed edge from the image ``src + image`` to atom ``dst``: one row
+    of an ``EdgeTable``, which builds rows only when iterated."""
 
     src: int
     dst: int
@@ -58,41 +59,74 @@ class GraphMeta:
     self_edges: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """A graph's edges as read-only columns: ``dst``, ``src`` (E,), integer
+    lattice offsets ``image`` (E, 3), ``distance`` (E,) and ``kind`` (E,),
+    an index into ``KINDS``.  The table takes its arrays over (they become
+    read-only).  ``len()`` counts the edges, and iterating yields ``Edge``
+    rows, built on demand."""
+
+    dst: np.ndarray
+    src: np.ndarray
+    image: np.ndarray
+    distance: np.ndarray
+    kind: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("dst", int), ("src", int), ("image", int), ("distance", float), ("kind", int)):
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        n = self.dst.shape
+        if len(n) != 1 or self.image.shape != (*n, 3) or any(c.shape != n for c in (self.src, self.distance, self.kind)):
+            raise ValueError(f"edge columns need shapes (E,), (E,), (E, 3), (E,), (E,), got "
+                             f"{[c.shape for c in self.columns]}")
+
+    @classmethod
+    def from_rows(cls, edges) -> "EdgeTable":
+        """Columns of a sequence of ``Edge`` rows, in their given order."""
+        rows = [(e.dst, e.src, *e.image.k, KIND_ORDER[e.kind]) for e in edges]
+        ints = np.array(rows, dtype=int).reshape(-1, 6)
+        dist = np.array([e.distance for e in edges], dtype=float)
+        return cls(ints[:, 0], ints[:, 1], ints[:, 2:5], dist, ints[:, 5])
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """``(dst, src, image, distance, kind)``, as ``canonical_order`` takes them."""
+        return self.dst, self.src, self.image, self.distance, self.kind
+
+    def __len__(self) -> int:
+        return self.dst.size
+
+    def __iter__(self):
+        # positional arguments in field order: cheaper per edge than keywords
+        return map(Edge, self.src.tolist(), self.dst.tolist(), self.distance.tolist(),
+                   map(LatticeImage, self.image.tolist()), map(KINDS.__getitem__, self.kind.tolist()))
+
+
 @dataclass(frozen=True)
 class CrystalGraph:
+    """Nodes by atomic number, and edges stored as an ``EdgeTable``; a
+    sequence of ``Edge`` rows is converted to one."""
+
     node_atomic_numbers: np.ndarray
-    edges: tuple[Edge, ...]
+    edges: EdgeTable
     meta: GraphMeta
+
+    def __post_init__(self):
+        if not isinstance(self.edges, EdgeTable):
+            object.__setattr__(self, "edges", EdgeTable.from_rows(self.edges))
 
     @property
     def n_nodes(self) -> int:
         return self.node_atomic_numbers.size
-
-    def edge_columns(self) -> tuple[np.ndarray, ...]:
-        """Edge columns ``(dst, src, image, distance, kind)``, as ``edges_from_columns`` takes them."""
-        rows = [(e.dst, e.src, *e.image.k, KIND_ORDER[e.kind]) for e in self.edges]
-        ints = np.array(rows, dtype=int).reshape(-1, 6)
-        dist = np.fromiter((e.distance for e in self.edges), dtype=float, count=len(self.edges))
-        return ints[:, 0], ints[:, 1], ints[:, 2:5], dist, ints[:, 5]
 
 
 def canonical_order(dst, src, image, distance, kind) -> np.ndarray:
     """Permutation putting edge columns in canonical edge order: by dst,
     src, kind, distance, then image offset lexicographically."""
     return np.lexsort((image[:, 2], image[:, 1], image[:, 0], distance, kind, src, dst))
-
-
-def edges_from_columns(dst, src, image, distance, kind) -> tuple[Edge, ...]:
-    """The ``Edge`` tuple of edge columns, in their given order; edges with
-    the same (E, 3) integer ``image`` offset share one frozen ``LatticeImage``."""
-    # one LatticeImage per distinct offset (keyed by its index in the box)
-    shifted = image - image.min(axis=0, initial=0)
-    key = np.ravel_multi_index(shifted.T, shifted.max(axis=0, initial=0) + 1)
-    _, first, which = np.unique(key, return_index=True, return_inverse=True)
-    images = [LatticeImage(k) for k in image[first].tolist()]
-    # positional arguments in field order: cheaper per edge than keywords
-    return tuple(map(Edge, src.tolist(), dst.tolist(), distance.tolist(),
-                     map(images.__getitem__, which.tolist()), map(KINDS.__getitem__, kind.tolist())))
 
 
 def interplanar_spacings(lattice: np.ndarray) -> np.ndarray:
@@ -220,7 +254,7 @@ def build_radius_graph(crystal: Crystal, neighbor_rank: int = 12) -> CrystalGrap
     meta = GraphMeta(method="radius", neighbor_rank=neighbor_rank, node_radii=tuple(map(float, radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        edges=edges_from_columns(*(c[order] for c in cols)),
+        edges=EdgeTable(*(c[order] for c in cols)),
         meta=meta,
     )
 
@@ -246,7 +280,7 @@ def build_t_fully_connected(crystal: Crystal, t: int = 3) -> CrystalGraph:
     meta = GraphMeta(method="t_fully_connected", t=t, node_radii=tuple(map(float, node_radii)))
     return CrystalGraph(
         node_atomic_numbers=crystal.atomic_numbers,
-        edges=edges_from_columns(dst, src, image, dist, kind),
+        edges=EdgeTable(dst, src, image, dist, kind),
         meta=meta,
     )
 
@@ -276,12 +310,11 @@ def add_self_connecting_edges(graph: CrystalGraph, crystal: Crystal) -> CrystalG
     six = np.array([d for _, d in self_connecting_distances(crystal.lattice)])
     node, which = np.nonzero(six > np.array(graph.meta.node_radii)[:, None] + DIST_TOL)
     added = (node, node, np.array(SELF_EDGE_IMAGES)[which], six[which], np.full_like(node, KIND_ORDER[SELF_CONNECTING]))
-    order = canonical_order(*(np.concatenate(pair) for pair in zip(graph.edge_columns(), added)))
-    # the graph's own edges are reused, not rebuilt: an Edge costs more than the sort
-    edges = graph.edges + edges_from_columns(*added)
+    cols = [np.concatenate(pair) for pair in zip(graph.edges.columns, added)]
+    order = canonical_order(*cols)
     return CrystalGraph(
         node_atomic_numbers=graph.node_atomic_numbers,
-        edges=tuple(map(edges.__getitem__, order.tolist())),
+        edges=EdgeTable(*(c[order] for c in cols)),
         meta=replace(graph.meta, self_edges=True),
     )
 

@@ -5,7 +5,9 @@ loops over a fixed image box, working on raw Cartesian positions, and the
 slow textbook forms of formulas the library computes another way.  The loop
 references at the end build whole graphs one edge at a time, as the
 negative controls and the self-edge merge once did, and must agree with the
-array builders edge for edge and bit for bit.
+array builders edge for edge and bit for bit; the audit's signatures follow
+as sorted tuples of Python floats, compared entry by entry, and must give
+the array signatures' discrepancies bit for bit.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import numpy as np
 from matformer.crystal import LatticeImage
 from matformer.graphs import (
     DIST_TOL,
+    KIND_ORDER,
     NEIGHBOR,
     SELF_CONNECTING,
     CrystalGraph,
@@ -179,3 +182,53 @@ def loop_self_edges(graph, crystal):
             new_edges.append(Edge(src=i, dst=i, distance=d, image=LatticeImage(k), kind=SELF_CONNECTING))
     new_edges.sort(key=lambda e: (e.dst, e.src, kind_order[e.kind], e.distance, e.image.k))
     return dataclasses.replace(graph, edges=tuple(new_edges), meta=dataclasses.replace(graph.meta, self_edges=True))
+
+
+# --- loop references for the audit's signatures ---------------------------------
+
+
+def loop_node_signatures(graph):
+    """Per-node sorted tuples of (round(d, 9), kind, source species, d), one
+    Edge row at a time."""
+    incoming = [[] for _ in range(graph.n_nodes)]
+    z = graph.node_atomic_numbers
+    for e in graph.edges:
+        incoming[e.dst].append((round(e.distance, 9), KIND_ORDER[e.kind], int(z[e.src]), e.distance))
+    return [tuple(sorted(sig)) for sig in incoming]
+
+
+def loop_graph_signature(graph):
+    """Nodes as (species, signature) tuples, sorted."""
+    sigs = loop_node_signatures(graph)
+    z = graph.node_atomic_numbers
+    return tuple(sorted((int(z[i]), sigs[i]) for i in range(graph.n_nodes)))
+
+
+def loop_max_node_discrepancy(pairs):
+    """Max distance discrepancy over ``((z_a, sig_a), (z_b, sig_b))`` node
+    pairs, or inf on any structural mismatch (species, edge count, kind or
+    source species)."""
+    worst = 0.0
+    for (za, na), (zb, nb) in pairs:
+        if za != zb or len(na) != len(nb):
+            return np.inf
+        for (_, ka, sa, da), (_, kb, sb, db) in zip(na, nb):
+            if ka != kb or sa != sb:
+                return np.inf
+            worst = max(worst, abs(da - db))
+    return worst
+
+
+def loop_signature_discrepancy(sig_a, sig_b):
+    if len(sig_a) != len(sig_b):
+        return np.inf
+    return loop_max_node_discrepancy(zip(sig_a, sig_b))
+
+
+def loop_quotient_discrepancy(base_graph, super_graph, n_base):
+    """Supercell node ``s`` against base atom ``s % n_base``, node by node."""
+    if super_graph.n_nodes % n_base != 0 or base_graph.n_nodes != n_base:
+        return np.inf
+    base = list(zip(base_graph.node_atomic_numbers.tolist(), loop_node_signatures(base_graph)))
+    nodes = zip(super_graph.node_atomic_numbers.tolist(), loop_node_signatures(super_graph))
+    return loop_max_node_discrepancy((base[s % n_base], node) for s, node in enumerate(nodes))

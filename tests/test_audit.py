@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from matformer.audit import (
     AuditReport,
+    rounded_distances,
     audit_e3_invariance,
     audit_knn_determinism,
     audit_periodic_invariance,
@@ -24,6 +25,7 @@ from matformer.crystal import Crystal, crystal_from_frac, shift_boundary, superc
 from matformer.graphs import (
     CrystalGraph,
     Edge,
+    EdgeTable,
     GraphMeta,
     LatticeImage,
     add_self_connecting_edges,
@@ -32,8 +34,19 @@ from matformer.graphs import (
     interplanar_spacings,
 )
 from matformer.synthetic import random_corpus
-from oracles import loop_knn_distance_only, loop_ocgraph, loop_self_edges
+from oracles import (
+    loop_graph_signature,
+    loop_knn_distance_only,
+    loop_ocgraph,
+    loop_quotient_discrepancy,
+    loop_self_edges,
+    loop_signature_discrepancy,
+)
 from test_graphs import triclinic_cases
+
+
+def signature_bytes(sig):
+    return b"".join(a.tobytes() for a in sig)
 
 
 def cubic(a=1.0, fracs=((0, 0, 0),), zs=None):
@@ -63,7 +76,8 @@ class TestSignatures:
             return CrystalGraph(np.array([1]), (edge,), GraphMeta(method="test"))
 
         hi, lo = one_edge(2.0000000005 + 1e-15), one_edge(2.0000000005 - 1e-15)
-        assert round(hi.edges[0].distance, 9) != round(lo.edges[0].distance, 9)
+        (hi_edge,), (lo_edge,) = hi.edges, lo.edges
+        assert round(hi_edge.distance, 9) != round(lo_edge.distance, 9)
         disc = signature_discrepancy(graph_signature(hi), graph_signature(lo))
         assert disc < 1e-14
         assert quotient_discrepancy(hi, lo, 1) < 1e-14
@@ -73,6 +87,108 @@ class TestSignatures:
         b = graph_signature(build_radius_graph(cubic(a=1.5)))
         # outermost shell moves from sqrt(2) to 1.5*sqrt(2)
         assert signature_discrepancy(a, b) == pytest.approx(0.5 * np.sqrt(2))
+
+
+# exact ties, distances that straddle a 9-decimal rounding boundary, and
+# three different distances that share the rounded key 2.000000001
+SIGNATURE_DISTANCES = (1.0, 2.0000000005 - 1e-15, 2.0000000005, 2.0000000005 + 1e-15, 2.000000001)
+SPECIES = (1, 2)
+
+
+def column_graph(z, dst, src, kind, dist):
+    edges = EdgeTable(dst, src, np.zeros((len(dst), 3), dtype=int), dist, kind)
+    return CrystalGraph(np.array(z), edges, GraphMeta(method="test"))
+
+
+@st.composite
+def signature_graphs(draw, max_nodes=4):
+    n = draw(st.integers(1, max_nodes))
+    z = draw(st.lists(st.sampled_from(SPECIES), min_size=n, max_size=n))
+    m = draw(st.integers(0, 14))
+
+    def column(values):
+        return draw(st.lists(values, min_size=m, max_size=m))
+
+    nodes = st.integers(0, n - 1)
+    return column_graph(z, column(nodes), column(nodes), column(st.integers(0, 1)),
+                        column(st.sampled_from(SIGNATURE_DISTANCES)))
+
+
+def mutated(draw, graph, relabel):
+    """``graph`` with its nodes relabelled and its edges shuffled (when
+    ``relabel``), then one or two edits: a distance redrawn, a species, a
+    kind, a source or a destination changed, an edge dropped or a node
+    added."""
+    z = graph.node_atomic_numbers.tolist()
+    e = graph.edges
+    cols = [e.dst.tolist(), e.src.tolist(), e.kind.tolist(), e.distance.tolist()]
+    if relabel:
+        perm = draw(st.permutations(range(len(z))))
+        z = [z[perm.index(i)] for i in range(len(z))]
+        cols[0], cols[1] = [perm[i] for i in cols[0]], [perm[i] for i in cols[1]]
+        order = draw(st.permutations(range(len(e))))
+        cols = [[c[i] for i in order] for c in cols]
+    for edit in draw(st.lists(st.sampled_from(("distance", "species", "kind", "source", "target", "drop", "node")),
+                              min_size=1, max_size=2)):
+        m = len(cols[0])
+        if edit == "species":
+            z[draw(st.integers(0, len(z) - 1))] = draw(st.sampled_from(SPECIES))
+        elif edit == "node":
+            z.append(draw(st.sampled_from(SPECIES)))
+        elif m == 0:
+            continue
+        elif edit == "drop":
+            i = draw(st.integers(0, m - 1))
+            cols = [c[:i] + c[i + 1:] for c in cols]
+        else:
+            col, values = {"distance": (3, st.sampled_from(SIGNATURE_DISTANCES)), "kind": (2, st.integers(0, 1)),
+                           "source": (1, st.integers(0, len(z) - 1)), "target": (0, st.integers(0, len(z) - 1))}[edit]
+            cols[col][draw(st.integers(0, m - 1))] = draw(values)
+    return column_graph(z, *cols)
+
+
+class TestArraySignaturesMatchLoopOracle:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_signature_discrepancy(self, data):
+        a = data.draw(signature_graphs())
+        b = mutated(data.draw, a, relabel=True) if data.draw(st.integers(0, 3)) else data.draw(signature_graphs())
+        want = loop_signature_discrepancy(loop_graph_signature(a), loop_graph_signature(b))
+        assert signature_discrepancy(graph_signature(a), graph_signature(b)) == want
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_quotient_discrepancy(self, data):
+        base = data.draw(signature_graphs(max_nodes=3))
+        n, e = base.n_nodes, base.edges
+        reps = data.draw(st.integers(1, 3))
+        # replica b of a node receives its edges from any replica of their sources
+        shift = np.array(data.draw(st.lists(st.integers(0, reps - 1), min_size=reps * len(e), max_size=reps * len(e))),
+                         dtype=int)
+        blocks = np.repeat(np.arange(reps), len(e)) * n
+        scaled = column_graph(np.tile(base.node_atomic_numbers, reps), np.tile(e.dst, reps) + blocks,
+                              np.tile(e.src, reps) + shift * n, np.tile(e.kind, reps), np.tile(e.distance, reps))
+        other = mutated(data.draw, scaled, relabel=data.draw(st.booleans()))
+        n_base = data.draw(st.sampled_from((n, n, n + 1)))
+        assert quotient_discrepancy(base, other, n_base) == loop_quotient_discrepancy(base, other, n_base)
+
+
+@given(st.integers(0, 10**11), st.integers(-4, 4))
+@settings(max_examples=300, deadline=None)
+def test_rounded_key_is_the_builtin_round_near_halfway(whole, ulps):
+    d = (whole + 0.5) / 1e9
+    for _ in range(abs(ulps)):
+        d = np.nextafter(d, np.inf if ulps > 0 else 0.0)
+    d = np.array([d, d + 1e-15, d - 1e-15, 2.0000000005 + 1e-15 * ulps])
+    assert rounded_distances(d).tobytes() == np.array([round(x, 9) for x in d.tolist()]).tobytes()
+
+
+def test_rounded_key_is_the_builtin_round_on_a_batch():
+    rng = np.random.default_rng(7)
+    halfway = (rng.integers(0, 2 * 10**10, 50_000) + 0.5) / 1e9
+    d = np.concatenate([halfway, np.nextafter(halfway, 0.0), np.nextafter(halfway, np.inf), rng.uniform(0, 30, 50_000),
+                        [0.0, 2.0**-10, 1e7, 1e13]])
+    assert rounded_distances(d).tobytes() == np.array([round(x, 9) for x in d.tolist()]).tobytes()
 
 
 class TestAuditReport:
@@ -189,7 +305,7 @@ class TestKnn:
     def test_unambiguous_cut_is_deterministic(self):
         c = cubic()
         sigs = {
-            graph_signature(knn_distance_only_builder(c, k=6, perturbation_seed=s)) for s in range(5)
+            signature_bytes(graph_signature(knn_distance_only_builder(c, k=6, perturbation_seed=s))) for s in range(5)
         }
         assert len(sigs) == 1
         report = audit_knn_determinism(c, k=6, seeds=tuple(range(6)))
@@ -247,7 +363,7 @@ class TestKnn:
 
 
 def assert_same_graph(got, want):
-    assert got.edges == want.edges
+    assert tuple(got.edges) == tuple(want.edges)
     assert np.array_equal(got.node_atomic_numbers, want.node_atomic_numbers)
     assert got.meta == want.meta
     if want.meta.node_radii is not None:  # the same bits, not only equal values

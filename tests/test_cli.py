@@ -112,6 +112,22 @@ class TestAudit:
         with pytest.raises(SystemExit, match=r"^cannot audit the radius builder: neighbor_rank must be >= 1$"):
             main(["audit", cube_file, "--rank", "0", "--trials", "1"])
 
+    def test_could_not_run_exits_two_not_one(self, cube_file, capsys):
+        # status 1 means "violations found"
+        with pytest.raises(SystemExit) as err:
+            main(["audit", cube_file, "--builder", "tfc", "--t", "0"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "cannot audit the tfc builder: t must be >= 1\n"
+
+    def test_unreadable_input_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for path in (bad, tmp_path / "missing.json"):
+            with pytest.raises(SystemExit, match=rf"^cannot read {re.escape(str(path))}: ") as err:
+                main(["audit", str(path)])
+            assert err.value.code == 2
+            assert capsys.readouterr().err.startswith(f"cannot read {path}: ")
+
     def test_e3_mode(self, corpus_dir):
         assert main(["audit", corpus_dir, "--builder", "tfc", "--mode", "e3", "--trials", "3"]) == 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -6,8 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from matformer import graphs
+from matformer.audit import audit_e3_invariance, audit_periodic_invariance, knn_distance_only_builder, make_builder
 from matformer.crystal import crystal_from_frac, shift_boundary, supercell
 from matformer.graphs import (
+    CrystalGraph,
+    EdgeTable,
     NEIGHBOR,
     SELF_CONNECTING,
     add_self_connecting_edges,
@@ -19,7 +24,8 @@ from matformer.graphs import (
     neighbor_candidates,
     self_connecting_distances,
 )
-from matformer.synthetic import lattice_from_parameters, random_crystal
+from matformer.model import Matformer, ModelConfig
+from matformer.synthetic import lattice_from_parameters, random_corpus, random_crystal
 from oracles import (
     brute_adaptive_radius,
     brute_image_distances,
@@ -177,7 +183,7 @@ class TestNeighborCandidates:
             tracemalloc.stop()
         assert peak < 256 * 2**20
         assert graph.n_nodes == 1029
-        assert min(np.bincount(graph.edge_columns()[0], minlength=1029)) >= 12
+        assert min(np.bincount(graph.edges.dst, minlength=1029)) >= 12
 
 
 class TestAdaptiveRadius:
@@ -222,7 +228,7 @@ class TestRadiusGraph:
         c = random_crystal(rng, n_atoms=3)
         moved = shift_boundary(c, rng.uniform(-2, 2, 3))
         g = build_radius_graph(moved)
-        for e in g.edges[::7]:
+        for e in tuple(g.edges)[::7]:
             vec = (
                 moved.positions[e.src]
                 + np.asarray(e.image.k, float) @ moved.lattice
@@ -384,17 +390,51 @@ class TestGraphStructure:
         kinds = {e.kind for e in g.edges}
         assert kinds == {NEIGHBOR, SELF_CONNECTING}
 
-    def test_edges_share_one_image_per_offset(self):
+    def test_far_unwrapped_edges_keep_their_search_distances(self):
         # unwrapped positions far from the cell give offsets spanning a wide box
         rng = np.random.default_rng(23)
         c = random_crystal(rng, n_atoms=4)
         shifts = [[-3000.0, 0.0, 40.0], [0.0, 2000.0, 0.0], [0.0, 0.0, 0.0], [7.0, -7.0, 7.0]]
         far = crystal_from_frac(c.atomic_numbers, c.frac_coords + shifts, c.lattice)
         for g in (add_self_connecting_edges(build_radius_graph(far), far), build_t_fully_connected(far, t=2)):
-            shared = {}
-            for e in g.edges:
-                shared.setdefault((e.kind, e.image.k), set()).add(id(e.image))
-            assert all(len(ids) == 1 for ids in shared.values())
             dst, src, image, dist = neighbor_candidates(far, max(e.distance for e in g.edges) + 1e-6)
             want = dict(zip(zip(dst.tolist(), src.tolist(), map(tuple, image.tolist())), dist.tolist()))
             assert all(want[e.dst, e.src, e.image.k] == e.distance for e in g.edges if e.kind == NEIGHBOR)
+
+
+class TestEdgeTable:
+    def test_audits_and_prepare_build_no_edge_row(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("an Edge row was built")
+
+        monkeypatch.setattr(graphs, "Edge", no_rows)
+        crystals = random_corpus(3, seed=61, n_atoms_max=4)
+        assert audit_periodic_invariance(make_builder("radius"), crystals, 4, seed=1).violations == 0
+        # tfc graphs are defined relative to the minimal cell: boundary shifts only
+        assert audit_periodic_invariance(make_builder("tfc"), crystals, 4, seed=1, alphas=((1, 1, 1),)).violations == 0
+        assert audit_e3_invariance(make_builder("radius", self_edges=True), crystals, 2, seed=1).violations == 0
+        model = Matformer(ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4))
+        assert model.prepare(crystals[0]).n_edges > 0
+        with pytest.raises(AssertionError, match="an Edge row was built"):
+            next(iter(build_radius_graph(crystals[0]).edges))
+
+    def test_rows_convert_to_the_builders_columns_bit_for_bit(self):
+        rng = np.random.default_rng(62)
+        c = random_crystal(rng, n_atoms=4)
+        built = (add_self_connecting_edges(build_radius_graph(c), c), add_self_connecting_edges(build_t_fully_connected(c), c),
+                 knn_distance_only_builder(c, k=5, perturbation_seed=3))
+        for g in built:
+            rows = tuple(g.edges)
+            assert len(rows) == len(g.edges) and isinstance(rows[0], graphs.Edge)
+            for back in (CrystalGraph(g.node_atomic_numbers, rows, g.meta), dataclasses.replace(g, edges=list(rows))):
+                assert isinstance(back.edges, EdgeTable)
+                for got, want in zip(back.edges.columns, g.edges.columns):
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_columns_are_read_only_and_shapes_are_checked(self):
+        g = build_radius_graph(cubic())
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges.distance[0] = 0.0
+        with pytest.raises(ValueError, match="edge columns need shapes"):
+            EdgeTable([0], [0], [[1, 0]], [1.0], [0])
+        assert len(EdgeTable([], [], np.zeros((0, 3)), [], [])) == 0

@@ -198,6 +198,30 @@ class TestGraphSerialization:
         with pytest.raises(ValueError, match="missing field 'meta'"):
             io.graph_from_dict(data)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("edges"), "graph JSON missing field 'edges'"),
+        (lambda d: d.pop("nodes"), "graph JSON missing field 'nodes'"),
+        (lambda d: d["meta"].pop("method"), "graph JSON meta missing field 'method'"),
+        (lambda d: d["nodes"][0].update(atomic_number="C"), "graph JSON nodes need an integer 'atomic_number' each"),
+        (lambda d: d["nodes"][0].update(atomic_number=0), "graph JSON node 0: atomic number 0 outside [1, 118]"),
+        (lambda d: d["edges"][2].pop("src"), "graph JSON edge 2: missing field 'src'"),
+        (lambda d: d["edges"][2].pop("image"), "graph JSON edge 2: missing field 'image'"),
+        (lambda d: d["edges"][2].update(src="x"), "graph JSON edge 2: invalid literal for int() with base 10: 'x'"),
+        (lambda d: d["edges"][2].update(kind="bogus"), "graph JSON edge 2: unknown kind 'bogus'"),
+        (lambda d: d["edges"][2].update(src=-1), "graph JSON edge 2: node index out of range for 1 nodes"),
+        (lambda d: d["edges"][2].update(distance=-1.5),
+         "graph JSON edge 2: distance -1.5 is not a finite non-negative number"),
+        (lambda d: d["edges"][2].update(image=[1, 0]), "graph JSON edge 2: lattice image must be 3 integers, got [1, 0]"),
+        (lambda d: d["edges"][2].update(image=[1, 0, 0.5]),
+         "graph JSON edge 2: lattice image must be 3 integers, got [1, 0, 0.5]"),
+    ])
+    def test_every_rejection_message(self, edit, message):
+        data = json.loads(io.graph_to_json(self._graph()[0]))
+        edit(data)
+        with pytest.raises(ValueError) as err:
+            io.graph_from_dict(data)
+        assert str(err.value) == message
+
     def test_text_format_shape(self):
         graph, _ = self._graph()
         text = io.graph_to_text(graph)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matformer import engine
 from matformer.crystal import E3Transform, apply_e3, crystal_from_frac, random_orthogonal, shift_boundary, supercell
@@ -17,6 +19,7 @@ from test_golden import CASES as GOLDEN_CASES
 from test_golden import CONFIG as GOLDEN_CONFIG
 
 SMALL = ModelConfig(n_layers=2, n_heads=2, d_model=8, rbf_kernels=8, readout_hidden=8)
+COMPACT = ModelConfig(n_layers=2, n_heads=2, d_model=16, rbf_kernels=16)
 
 
 def cubic(a=1.0, fracs=((0, 0, 0),), zs=None):
@@ -298,6 +301,16 @@ class TestModelInvariances:
         base = model.predict(crystal)
         assert abs(model.predict(supercell(crystal, (2, 2, 2))) - base) < 1e-5
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_atom_order_moves_predictions_by_at_most_1e_12(self, seed):
+        rng = np.random.default_rng(seed)
+        crystal = random_crystal(rng, n_atoms=int(rng.integers(2, 9)))
+        perm = rng.permutation(crystal.n_atoms)
+        permuted = crystal_from_frac(crystal.atomic_numbers[perm], crystal.frac_coords[perm], crystal.lattice)
+        model = Matformer(COMPACT, seed=seed % 7)
+        assert abs(model.predict(permuted) - model.predict(crystal)) <= 1e-12
+
     def test_default_size_invariance_spot_check(self):
         rng = np.random.default_rng(10)
         crystal = random_crystal(rng, n_atoms=2)
@@ -305,6 +318,27 @@ class TestModelInvariances:
         base = model.predict(crystal)
         shifted = shift_boundary(crystal, rng.uniform(-2, 2, 3))
         assert abs(model.predict(shifted) - base) < 1e-6
+
+
+def chain(a, b):
+    """One atom per cell of the lattice diag(a, b, b): a chain along x."""
+    return crystal_from_frac([6], [[0.0, 0.0, 0.0]], np.diag([a, b, b]))
+
+
+class TestSelfEdgeBlindSpot:
+    """A known gap: a self edge longer than ``rbf_hi`` (8 A) expands to
+    about e^-88 on every kernel, so the model cannot see it."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_self_edges_beyond_rbf_hi_are_invisible(self, seed):
+        model = Matformer(COMPACT, seed=seed)
+        # every self edge the radius graph does not already cover is 13 A or longer
+        assert model.predict(chain(2.0, 13.0)) == model.predict(chain(2.0, 15.0))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_self_edges_within_rbf_hi_are_seen(self, seed):
+        model = Matformer(COMPACT, seed=seed)
+        assert model.predict(chain(1.0, 6.5)) != model.predict(chain(1.0, 7.5))
 
 
 class TestErrors:
