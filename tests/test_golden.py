@@ -8,9 +8,10 @@ gradient buffers were freed during backward and its ``np.add.at``
 scatter-adds were replaced by segment sums; both changes must keep every
 bit.  It also holds one SHA-256 digest over the prediction bytes and every
 parameter gradient's bytes, in name order, for a training-mode batch at the
-paper configuration, captured before the tape stopped holding op outputs
-and before q o k became a broadcast.  Recapture only for a deliberate
-change of numerics, with
+paper configuration, computed in a child process with one BLAS thread:
+OpenBLAS splits a matmul's sums by its thread count, so the paper
+configuration's bits depend on it (the compact cases' small matmuls do
+not).  Recapture only for a deliberate change of numerics, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +19,8 @@ change of numerics, with
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +63,16 @@ def run_case(name):
 
 
 def paper_config_digest() -> str:
+    """``paper_config_digest_here`` in a child process that runs one BLAS thread."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, os.path.abspath(__file__), "--paper-config-digest"],
+                           env=env, capture_output=True, text=True, check=True)
+    return child.stdout.strip()
+
+
+def paper_config_digest_here() -> str:
     """SHA-256 of the prediction bytes, then each gradient's bytes in name order."""
     pred, grads = run_model(Matformer(ModelConfig(), seed=5), random_corpus(8, seed=7), training=True)
     digest = hashlib.sha256(np.ascontiguousarray(pred).tobytes())
@@ -102,6 +115,9 @@ def test_paper_config_matches_golden_digest(golden):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--paper-config-digest"]:
+        print(paper_config_digest_here())
+        sys.exit()
     with open(FIXTURE, "w", encoding="utf-8") as fh:
         json.dump(capture(), fh)
         fh.write("\n")
