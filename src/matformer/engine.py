@@ -6,6 +6,13 @@ layer/batch normalization, plain and segment softmax, and index
 gather/scatter for neighborhood aggregation.  Every differentiable op is
 validated against central finite differences in the test suite.
 
+Two pair ops form an attention head's per-edge features: ``pair_product``
+(the query-key coefficients) and ``gated_pair_matmul`` (the gated value
+message and its projection).  Each builds the (E, 3d) edge rows
+``[x_dst | x_src | e]`` from (n, d) node rows, and its backward rebuilds
+them instead of the tape keeping them, with the bits of the gathers,
+concatenations and products they replace.
+
 Inside ``with no_grad():`` ops record no tape, so the arrays a backward
 would read are freed as each op returns; outputs are still checked for
 non-finite values.  Prediction, validation and featurization run in it.
@@ -594,6 +601,75 @@ def scatter_sum(a, index, num_rows: int) -> Tensor:
         ea.adopt(g[index])
 
     return _node(_segment_sum_np(a.values, index, num_rows), (ea,), bw, "scatter_sum")
+
+
+def _pair_rows(x: np.ndarray, e: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The (E, 3d) edge rows ``[x_dst | x_src | e]`` of (n, d) node rows ``x``."""
+    return np.concatenate((np.take(x, dst, axis=0), np.take(x, src, axis=0), e), axis=1)
+
+
+def _pair_rows_backward(ex, ee, g_pair: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """Pass the (E, 3, d) gradient of ``_pair_rows(x, e, src, dst)`` to the
+    entries of ``x`` (a segment sum per side) and ``e`` (copied)."""
+    if ex is not None:
+        ex.adopt(_segment_sum_np(g_pair[:, 0], dst, ex.shape[0]))
+        ex.adopt(_segment_sum_np(g_pair[:, 1], src, ex.shape[0]))
+    if ee is not None:
+        ee.accumulate(g_pair[:, 2])
+
+
+def pair_product(q, k, e, src, dst) -> Tensor:
+    """Per edge ``src -> dst``, ``(q_dst | q_dst | q_dst) o (k_dst | k_src | e)``, (E, 3d).
+
+    The closure holds the (n, d) ``q`` and ``k``, the (E, d) ``e`` and the
+    indices, and backward rebuilds the (E, 3d) pair from them.
+    """
+    q, k, e = _as_tensor(q), _as_tensor(k), _as_tensor(e)
+    eq, ek, ee = _grad_entry(q), _grad_entry(k), _grad_entry(e)
+    qv, kv, ev = q.values, k.values, e.values
+    src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+    n_edges, d = ev.shape
+
+    def bw(g):
+        g3 = g.reshape(n_edges, 3, d)
+        if eq is not None:
+            prod = g3 * _pair_rows(kv, ev, src, dst).reshape(n_edges, 3, d)
+            eq.adopt(_segment_sum_np(prod.sum(axis=1), dst, qv.shape[0]))
+        _pair_rows_backward(ek, ee, g3 * np.take(qv, dst, axis=0)[:, None, :], src, dst)
+
+    out = _pair_rows(kv, ev, src, dst)
+    out3 = out.reshape(n_edges, 3, d)
+    out3 *= np.take(qv, dst, axis=0)[:, None, :]
+    return _node(out, (eq, ek, ee), bw, "pair_product")
+
+
+def gated_pair_matmul(gate, v, e, src, dst, w) -> Tensor:
+    """Per edge ``src -> dst``, ``(gate o (v_dst | v_src | e)) @ w``, (E, d_out).
+
+    ``gate`` is (E, 3d), or (E, 1) to scale whole rows.  The closure holds
+    ``gate`` (which the op that made it holds too), the (n, d) ``v``, the
+    (E, d) ``e``, ``w`` and the indices, and backward rebuilds the pair and
+    the gated pair from them.
+    """
+    gate, v, e, w = _as_tensor(gate), _as_tensor(v), _as_tensor(e), _as_tensor(w)
+    eg, ev, ee, ew = _grad_entry(gate), _grad_entry(v), _grad_entry(e), _grad_entry(w)
+    gv, vv, e_v, wv = gate.values, v.values, e.values, w.values
+    src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+
+    def bw(g):
+        pair = _pair_rows(vv, e_v, src, dst)
+        g_prod = g @ wv.T
+        if eg is not None:
+            eg.adopt(_unbroadcast(g_prod * pair, eg.shape))
+        g_prod *= gv
+        _pair_rows_backward(ev, ee, g_prod.reshape(len(dst), 3, -1), src, dst)
+        if ew is not None:
+            pair *= gv
+            ew.adopt(pair.T @ g)
+
+    prod = _pair_rows(vv, e_v, src, dst)
+    prod *= gv
+    return _node(prod @ wv, (eg, ev, ee, ew), bw, "gated_pair_matmul")
 
 
 def segment_mean(a, index, num_rows: int) -> Tensor:

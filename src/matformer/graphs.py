@@ -135,7 +135,12 @@ def interplanar_spacings(lattice: np.ndarray) -> np.ndarray:
     The columns of the inverse lattice are the reciprocal vectors (without
     the 2 pi), and the planes normal to one are its inverse length apart.
     """
-    return 1.0 / np.linalg.norm(np.linalg.inv(np.asarray(lattice, dtype=float)), axis=0)
+    return _spacings(np.linalg.inv(np.asarray(lattice, dtype=float)))
+
+
+def _spacings(inverse: np.ndarray) -> np.ndarray:
+    """``interplanar_spacings`` of the lattice whose inverse is ``inverse``."""
+    return 1.0 / np.linalg.norm(inverse, axis=0)
 
 
 def image_box(lattice: np.ndarray, r: float) -> tuple[int, int, int]:
@@ -149,9 +154,14 @@ def image_box(lattice: np.ndarray, r: float) -> tuple[int, int, int]:
     (plus 1e-9, so rounding in the spacings cannot drop an image at exactly
     ``r``).
     """
+    return _box(interplanar_spacings(lattice), r)
+
+
+def _box(spacings: np.ndarray, r: float) -> tuple[int, int, int]:
+    """``image_box`` of the lattice with interplanar ``spacings``."""
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    return tuple(np.floor(r / interplanar_spacings(lattice) + 0.5 + 1e-9).astype(int).tolist())
+    return tuple(np.floor(r / spacings + 0.5 + 1e-9).astype(int).tolist())
 
 
 # Budget for the peak memory of one ``neighbor_candidates`` call.
@@ -175,7 +185,10 @@ def neighbor_candidates(crystal: Crystal, r: float):
     and the distances are alive together.
     """
     n = crystal.n_atoms
-    bound = image_box(crystal.lattice, r)
+    # one inverse serves the box and the fractional coordinates, the same
+    # bits as ``image_box(lattice, r)`` and ``crystal.frac_coords``
+    inverse = np.linalg.inv(crystal.lattice)
+    bound = _box(_spacings(inverse), r)
     # eight float64s and three bool masks per (dst, src, offset) triple at peak
     peak_bytes = n * n * math.prod(2 * k + 1 for k in bound) * (8 * 8 + 3)
     if peak_bytes > MAX_GRID_BYTES:
@@ -184,7 +197,7 @@ def neighbor_candidates(crystal: Crystal, r: float):
             f"for its image grid (limit {MAX_GRID_BYTES / 2**20:.0f} MiB)"
         )
     offs = np.stack(np.meshgrid(*(np.arange(-k, k + 1) for k in bound), indexing="ij"), axis=-1).reshape(-1, 3)
-    frac = crystal.frac_coords
+    frac = crystal.positions @ inverse
     diff = frac[None, :, :] - frac[:, None, :]  # f_src - f_dst
     base = np.floor(diff + 0.5)
     recentred = diff - base

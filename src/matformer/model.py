@@ -142,9 +142,7 @@ class MatformerLayer:
     def aggregate_messages(self, node_feats: Tensor, edge_feats: Tensor, src, dst) -> Tensor:
         """Merged per-node message m_i, before batch norm and the residual."""
         n_nodes = node_feats.shape[0]
-        n_edges = len(dst)
-        d = self.config.d_model
-        d_k = 3 * d
+        d_k = 3 * self.config.d_model
 
         head_outputs = []
         for head in self.heads:
@@ -152,17 +150,10 @@ class MatformerLayer:
             k = engine.linear(node_feats, head["k_w"], head["k_b"])
             v = engine.linear(node_feats, head["v_w"], head["v_b"])
             e = engine.linear(edge_feats, head["e_w"], head["e_b"])
-
-            q_dst = engine.gather_rows(q, dst)
-            k_pair = engine.concat([engine.gather_rows(k, dst), engine.gather_rows(k, src), e])
-            # q_ij o k_ij with q_ij = (q_i | q_i | q_i), as an (E, 3, d) broadcast
-            qk = engine.mul(engine.reshape(q_dst, (n_edges, 1, d)), engine.reshape(k_pair, (n_edges, 3, d)))
-            alpha = engine.scale(engine.reshape(qk, (n_edges, d_k)), 1.0 / math.sqrt(d_k))
-
+            alpha = engine.scale(engine.pair_product(q, k, e, src, dst), 1.0 / math.sqrt(d_k))
             gate = attention_gate(alpha, dst, n_nodes, self.config.attention_variant,
                                   self.alpha_ln_gain, self.alpha_ln_bias)
-            v_pair = engine.concat([engine.gather_rows(v, dst), engine.gather_rows(v, src), e])
-            message = engine.linear(engine.mul(gate, v_pair), head["upd_w"], head["upd_b"])
+            message = engine.add(engine.gated_pair_matmul(gate, v, e, src, dst, head["upd_w"]), head["upd_b"])
             message = engine.layer_norm(
                 engine.linear(message, head["msg_w"], head["msg_b"]),
                 self.msg_ln_gain, self.msg_ln_bias,

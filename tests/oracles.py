@@ -7,14 +7,18 @@ references at the end build whole graphs one edge at a time, as the
 negative controls and the self-edge merge once did, and must agree with the
 array builders edge for edge and bit for bit; the audit's signatures follow
 as sorted tuples of Python floats, compared entry by entry, and must give
-the array signatures' discrepancies bit for bit.
+the array signatures' discrepancies bit for bit.  The attention head's
+composed chain of gathers, concatenations and products is the reference
+for the engine's two pair ops, also bit for bit.
 """
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
+from matformer import engine
 from matformer.crystal import LatticeImage
 from matformer.graphs import (
     DIST_TOL,
@@ -28,6 +32,7 @@ from matformer.graphs import (
     neighbor_candidates,
     self_connecting_distances,
 )
+from matformer.model import attention_gate
 
 
 def brute_image_distances(crystal, i, j, kmax):
@@ -232,3 +237,43 @@ def loop_quotient_discrepancy(base_graph, super_graph, n_base):
     base = list(zip(base_graph.node_atomic_numbers.tolist(), loop_node_signatures(base_graph)))
     nodes = zip(super_graph.node_atomic_numbers.tolist(), loop_node_signatures(super_graph))
     return loop_max_node_discrepancy((base[s % n_base], node) for s, node in enumerate(nodes))
+
+
+# --- the attention head as a chain of single ops ---------------------------------
+
+
+def composed_pair_product(q, k, e, src, dst):
+    """``engine.pair_product``: three row gathers, a concatenation and an
+    (E, 1, d) x (E, 3, d) broadcast product, each on the tape."""
+    n_edges, d = e.shape
+    q_dst = engine.gather_rows(q, dst)
+    k_pair = engine.concat([engine.gather_rows(k, dst), engine.gather_rows(k, src), e])
+    qk = engine.mul(engine.reshape(q_dst, (n_edges, 1, d)), engine.reshape(k_pair, (n_edges, 3, d)))
+    return engine.reshape(qk, (n_edges, 3 * d))
+
+
+def composed_gated_pair_matmul(gate, v, e, src, dst, w):
+    """``engine.gated_pair_matmul``: two row gathers, a concatenation, the
+    gate product and the matmul, each on the tape."""
+    v_pair = engine.concat([engine.gather_rows(v, dst), engine.gather_rows(v, src), e])
+    return engine.matmul(engine.mul(gate, v_pair), w)
+
+
+def composed_aggregate_messages(layer, node_feats, edge_feats, src, dst):
+    """``MatformerLayer.aggregate_messages`` with the composed pair chains."""
+    n_nodes = node_feats.shape[0]
+    d_k = 3 * layer.config.d_model
+    head_outputs = []
+    for head in layer.heads:
+        q = engine.linear(node_feats, head["q_w"], head["q_b"])
+        k = engine.linear(node_feats, head["k_w"], head["k_b"])
+        v = engine.linear(node_feats, head["v_w"], head["v_b"])
+        e = engine.linear(edge_feats, head["e_w"], head["e_b"])
+        alpha = engine.scale(composed_pair_product(q, k, e, src, dst), 1.0 / math.sqrt(d_k))
+        gate = attention_gate(alpha, dst, n_nodes, layer.config.attention_variant,
+                              layer.alpha_ln_gain, layer.alpha_ln_bias)
+        message = engine.add(composed_gated_pair_matmul(gate, v, e, src, dst, head["upd_w"]), head["upd_b"])
+        message = engine.layer_norm(engine.linear(message, head["msg_w"], head["msg_b"]),
+                                    layer.msg_ln_gain, layer.msg_ln_bias)
+        head_outputs.append(engine.scatter_sum(message, dst, n_nodes))
+    return engine.linear(engine.concat(head_outputs, axis=1), layer.merge_w, layer.merge_b)

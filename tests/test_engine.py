@@ -18,7 +18,7 @@ from matformer.engine import (
     segment_mean,
     segment_softmax,
 )
-from oracles import layer_norm_grads
+from oracles import composed_gated_pair_matmul, composed_pair_product, layer_norm_grads
 
 RNG = np.random.default_rng(100)
 
@@ -497,6 +497,23 @@ def _build_op_cases():
         {"x": smx, "w": smw},
     )
 
+    # six edges over four nodes: a repeated (src, dst) pair, node 3 with no out-edges
+    psrc, pdst = np.array([0, 1, 1, 2, 0, 1]), np.array([1, 0, 0, 3, 2, 2])
+    pq, pk, pe, pw = param((4, 2)), param((4, 2)), param((6, 2)), param((6, 6))
+    cases["pair_product"] = (
+        lambda: engine.mean(engine.mul(engine.pair_product(pq, pk, pe, psrc, pdst), pw)),
+        {"q": pq, "k": pk, "e": pe, "w": pw},
+    )
+
+    for name, width in (("gated_pair_matmul", 6), ("gated_pair_matmul_row_gate", 1)):
+        gg, gv, ge, gw2 = param((6, width)), param((4, 2)), param((6, 2)), param((6, 3))
+        gout = param((6, 3))
+        cases[name] = (
+            lambda gg=gg, gv=gv, ge=ge, gw2=gw2, gout=gout: engine.mean(
+                engine.mul(engine.gated_pair_matmul(gg, gv, ge, psrc, pdst, gw2), gout)),
+            {"gate": gg, "v": gv, "e": ge, "w": gw2, "out": gout},
+        )
+
     return cases
 
 
@@ -504,6 +521,58 @@ def _build_op_cases():
 def test_op_gradients_match_finite_differences(name):
     build, params = _build_op_cases()[name]
     fd_check(build, params)
+
+
+@st.composite
+def _pair_cases(draw):
+    """Node rows, edge rows and indices for the pair ops: repeated (src, dst)
+    pairs, nodes with no out-edges and single edges all occur."""
+    n_nodes, n_edges, d = draw(st.integers(1, 5)), draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    node = st.integers(0, n_nodes - 1)
+    src = np.array(draw(st.lists(node, min_size=n_edges, max_size=n_edges)), dtype=int)
+    dst = np.array(draw(st.lists(node, min_size=n_edges, max_size=n_edges)), dtype=int)
+    gate_width = draw(st.sampled_from([1, 3 * d]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = {"q": (n_nodes, d), "k": (n_nodes, d), "v": (n_nodes, d), "e": (n_edges, d),
+              "gate": (n_edges, gate_width), "w": (3 * d, 2), "g_alpha": (n_edges, 3 * d), "g_out": (n_edges, 2)}
+    return {name: rng.standard_normal(shape) for name, shape in shapes.items()}, src, dst
+
+
+class TestPairOpsMatchComposedChain:
+    """The two pair ops against the gathers, concatenations and products they
+    replace (``tests/oracles.py``), compared bit for bit."""
+
+    @staticmethod
+    def run(case, pair_product, gated_pair_matmul):
+        arrays, src, dst = case
+        leaves = {name: Tensor(arrays[name], requires_grad=True) for name in ("q", "k", "v", "e", "gate", "w")}
+        alpha = pair_product(leaves["q"], leaves["k"], leaves["e"], src, dst)
+        out = gated_pair_matmul(leaves["gate"], leaves["v"], leaves["e"], src, dst, leaves["w"])
+        # e feeds both ops, as in an attention head
+        backward(engine.add(engine.tensor_sum(engine.mul(alpha, Tensor(arrays["g_alpha"]))),
+                            engine.tensor_sum(engine.mul(out, Tensor(arrays["g_out"])))))
+        return alpha.values, out.values, {name: leaf.grad for name, leaf in leaves.items()}
+
+    @given(_pair_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_values_and_every_gradient(self, case):
+        alpha, out, grads = self.run(case, engine.pair_product, engine.gated_pair_matmul)
+        want_alpha, want_out, want_grads = self.run(case, composed_pair_product, composed_gated_pair_matmul)
+        assert alpha.tobytes() == want_alpha.tobytes()
+        assert out.tobytes() == want_out.tobytes()
+        for name, want in want_grads.items():
+            assert grads[name].shape == want.shape and grads[name].tobytes() == want.tobytes(), name
+
+    def test_tape_holds_node_rows_not_pairs(self):
+        src, dst = np.array([0, 1, 1, 2]), np.array([1, 0, 0, 1])
+        q, k, v, e = param((3, 2)), param((3, 2)), param((3, 2)), param((4, 2))
+        gate, w = engine.sigmoid(param((4, 6))), param((6, 2))
+        alpha = engine.pair_product(q, k, e, src, dst)
+        out = engine.gated_pair_matmul(gate, v, e, src, dst, w)
+        for result, inputs in ((alpha, (q, k, e)), (out, (gate, v, e, w))):
+            held = [c.cell_contents for c in result._entry.backward_fn.__closure__]
+            arrays = {id(a) for a in held if isinstance(a, np.ndarray)}
+            assert arrays == {id(t.values) for t in inputs} | {id(src), id(dst)}
 
 
 class TestBatchNorm:

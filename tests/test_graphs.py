@@ -82,6 +82,14 @@ class TestImageBound:
     def test_spacings_cubic(self):
         assert np.allclose(interplanar_spacings(2.0 * np.eye(3)), [2.0, 2.0, 2.0])
 
+    def test_a_search_inverts_its_lattice_once(self, monkeypatch):
+        crystal = crystal_from_frac([1, 6], [[0.0, 0.0, 0.0], [0.4, 0.3, 0.6]], HEX_LATTICE)
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+        neighbor_candidates(crystal, 2.0)
+        assert len(calls) == 1
+
 
 @st.composite
 def triclinic_cases(draw):

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import time
@@ -13,8 +14,9 @@ from matformer import engine
 from matformer.crystal import E3Transform, apply_e3, crystal_from_frac, random_orthogonal, shift_boundary, supercell
 from matformer.engine import Tensor, backward, finite_difference_gradients, max_relative_error
 from matformer.featurize import batch_prepared
-from matformer.model import Matformer, MatformerLayer, ModelConfig, attention_gate
+from matformer.model import ATTENTION_VARIANTS, Matformer, MatformerLayer, ModelConfig, attention_gate
 from matformer.synthetic import random_corpus, random_crystal
+from oracles import composed_aggregate_messages
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import CONFIG as GOLDEN_CONFIG
 
@@ -311,6 +313,19 @@ class TestModelInvariances:
         model = Matformer(COMPACT, seed=seed % 7)
         assert abs(model.predict(permuted) - model.predict(crystal)) <= 1e-12
 
+    @pytest.mark.parametrize("variant", ATTENTION_VARIANTS)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    @settings(max_examples=10, deadline=None)
+    def test_batched_predictions_match_single_ones_within_1e_12(self, variant, seed, size):
+        # not bit for bit: a batch's matmuls and batch-norm rows are larger
+        rng = np.random.default_rng(seed)
+        crystals = [random_crystal(rng, n_atoms=int(rng.integers(1, 6))) for _ in range(size)]
+        model = Matformer(dataclasses.replace(COMPACT, attention_variant=variant), seed=seed % 7)
+        with engine.no_grad():
+            batched = model.forward(batch_prepared([model.prepare(c) for c in crystals])).values[:, 0]
+        alone = np.array([model.predict(c) for c in crystals])
+        assert np.abs(batched - alone).max() <= 1e-12
+
     def test_default_size_invariance_spot_check(self):
         rng = np.random.default_rng(10)
         crystal = random_crystal(rng, n_atoms=2)
@@ -477,7 +492,7 @@ class TestInference:
         assert np.array_equal(model.predict(crystal), taped.values[0, 0])
 
     def test_paper_config_supercell_peak_memory(self):
-        # 96 atoms, 1728 edges; the taped forward peaks at about 640 MiB
+        # 96 atoms, 1728 edges; the taped forward peaks at about 330 MiB
         crystal = supercell(random_crystal(np.random.default_rng(3), n_atoms=3), (4, 4, 2))
         model = Matformer(ModelConfig(), seed=0)
         tracemalloc.start()
@@ -518,6 +533,52 @@ class TestCheckedForward:
             model.predict(crystal)
 
 
+@st.composite
+def _layer_cases(draw):
+    """A compact layer's config and seed, and a graph with repeated (src, dst)
+    pairs, nodes with no out-edges and single edges."""
+    d, heads = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    n_nodes, n_edges = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    node = st.integers(0, n_nodes - 1)
+    src = np.array(draw(st.lists(node, min_size=n_edges, max_size=n_edges)), dtype=int)
+    dst = np.array(draw(st.lists(node, min_size=n_edges, max_size=n_edges)), dtype=int)
+    return d, heads, src, dst, n_nodes, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPairOpsInTheLayer:
+    """``aggregate_messages`` with the pair ops against the composed chain of
+    gathers, concatenations and products (``tests/oracles.py``), bit for bit."""
+
+    @staticmethod
+    def run(layer, aggregate, node_values, edge_values, g, src, dst):
+        params = layer.parameters("layer")
+        for p in params.values():
+            p.zero_grad()
+        node, edge = Tensor(node_values, requires_grad=True), Tensor(edge_values, requires_grad=True)
+        out = aggregate(layer, node, edge, src, dst)
+        backward(engine.tensor_sum(engine.mul(out, Tensor(g))))
+        # the batch norm and the residual map are not in aggregate_messages
+        grads = {name: p.grad for name, p in params.items() if p.grad is not None}
+        return out.values, dict(grads, node=node.grad, edge=edge.grad)
+
+    @pytest.mark.parametrize("variant", ATTENTION_VARIANTS)
+    @given(_layer_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_values_and_every_gradient(self, variant, case):
+        d, heads, src, dst, n_nodes, seed = case
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(n_layers=1, n_heads=heads, d_model=d, attention_variant=variant)
+        layer = MatformerLayer(cfg, rng)
+        inputs = (rng.standard_normal((n_nodes, d)), rng.standard_normal((len(dst), d)),
+                  rng.standard_normal((n_nodes, d)), src, dst)
+        out, grads = self.run(layer, MatformerLayer.aggregate_messages, *inputs)
+        want_out, want_grads = self.run(layer, composed_aggregate_messages, *inputs)
+        assert out.tobytes() == want_out.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert grads[name].tobytes() == want.tobytes(), name
+
+
 class TestGradients:
     def test_paper_config_leaf_gradients_share_no_memory(self):
         model = Matformer(ModelConfig(), seed=5)
@@ -528,6 +589,22 @@ class TestGradients:
         for i, (name, g) in enumerate(grads):
             for other, h in grads[i + 1:]:
                 assert not np.shares_memory(g, h), (name, other)
+
+    def test_paper_config_training_step_peaks_under_100_mib(self):
+        # a batch of the benchmark's training crystals: 8 cells of 1-6 atoms, 399 edges;
+        # 147 MiB if the tape holds each head's (E, 3d) pair copies
+        rng = np.random.default_rng(1)
+        model = Matformer(ModelConfig(), seed=1)
+        prepared = batch_prepared([model.prepare(random_crystal(rng, n_atoms=1 + i % 6)) for i in range(8)])
+        tracemalloc.start()
+        try:
+            pred = model.forward(prepared, training=True)
+            diff = engine.sub(pred, Tensor(np.full((8, 1), 0.3)))
+            backward(engine.mean(engine.mul(diff, diff)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MiB"
 
     def test_small_model_passes_finite_differences(self):
         cfg = ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4)
