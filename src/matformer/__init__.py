@@ -4,7 +4,6 @@ and an executable invariance-audit harness."""
 from .crystal import (
     Crystal,
     E3Transform,
-    LatticeImage,
     apply_e3,
     cart_to_frac,
     crystal_from_frac,
@@ -15,7 +14,6 @@ from .crystal import (
 )
 from .graphs import (
     CrystalGraph,
-    Edge,
     EdgeTable,
     add_self_connecting_edges,
     build_radius_graph,
@@ -42,10 +40,8 @@ __all__ = [
     "Crystal",
     "CrystalGraph",
     "E3Transform",
-    "Edge",
     "EdgeTable",
     "GraphEmbedding",
-    "LatticeImage",
     "Matformer",
     "MatformerLayer",
     "ModelConfig",

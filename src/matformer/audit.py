@@ -345,37 +345,6 @@ def line_graph_size(n_nodes: int, degree: int = 12) -> tuple[int, int]:
     return nodes, edges
 
 
-def ring_multigraph(n_nodes: int, degree: int = 12) -> list[tuple[int, int]]:
-    """Degree-regular multigraph without self edges: parallel ring edges."""
-    if n_nodes < 2:
-        raise ValueError("need at least two nodes for a self-edge-free multigraph")
-    if degree % 2 != 0:
-        raise ValueError("degree must be even")
-    edges = []
-    for u in range(n_nodes):
-        v = (u + 1) % n_nodes
-        edges.extend([(u, v)] * (degree // 2))
-    return edges
-
-
-def explicit_line_graph_size(edges: list[tuple[int, int]]) -> tuple[int, int]:
-    """Count line-graph nodes/edges by direct construction.
-
-    Every unordered pair of distinct original edges contributes one
-    line-graph edge per shared endpoint (parallel edges share two).
-    """
-    incident: dict[int, list[int]] = {}
-    for idx, (u, v) in enumerate(edges):
-        if u == v:
-            raise ValueError("self edges are not supported")
-        incident.setdefault(u, []).append(idx)
-        incident.setdefault(v, []).append(idx)
-    line_edges = 0
-    for ids in incident.values():
-        line_edges += len(ids) * (len(ids) - 1) // 2
-    return len(edges), line_edges
-
-
 # --- named builders -----------------------------------------------------------
 
 

@@ -73,6 +73,8 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.trials < 1:
+        raise CannotRun(f"--trials must be >= 1, got {args.trials}: an audit of no trial shows nothing")
     crystals = [c for _, c in _load_crystals(args.inputs)]
     builder = audit_mod.make_builder(
         args.builder,
@@ -235,9 +237,12 @@ def cmd_predict(args) -> int:
         with open(args.checkpoint, "r", encoding="utf-8") as fh:
             checkpoint = json.load(fh)
         model = Matformer.from_checkpoint(checkpoint)
+        scale = checkpoint.get("target_scale")
+        if scale is not None:
+            engine.checked_entry(scale, "object", "target_scale")
+            scale = {k: engine.checked_entry(scale.get(k), "float", f"target_scale.{k}") for k in ("mean", "std")}
     except ValueError as err:  # includes JSONDecodeError and UnicodeDecodeError
         raise SystemExit(f"cannot load checkpoint {args.checkpoint}: {err}") from None
-    scale = checkpoint.get("target_scale")
     del checkpoint  # megabytes of base64 text the model no longer needs
     if scale is None:
         print("warning: checkpoint has no target_scale; predictions are in normalized units "
@@ -264,11 +269,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.what == "line-graph-size":
+    try:  # args.what is "line-graph-size", the one choice argparse accepts
         nodes, edges = audit_mod.line_graph_size(args.n, degree=args.degree)
-        print(f"nodes={nodes} edges={edges}")
-        return 0
-    raise SystemExit(f"unknown analysis {args.what!r}")
+    except ValueError as err:
+        raise CannotRun(f"cannot analyze line-graph-size: {err}") from None
+    print(f"nodes={nodes} edges={edges}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -122,11 +122,6 @@ class Crystal:
         return cart_to_frac(self.positions, self.lattice)
 
     @property
-    def wrapped_frac_coords(self) -> np.ndarray:
-        """Canonically wrapped fractional coordinates, each row in [0, 1)^3."""
-        return wrap_fractional(self.frac_coords)
-
-    @property
     def volume(self) -> float:
         return float(abs(np.linalg.det(self.lattice)))
 

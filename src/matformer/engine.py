@@ -488,10 +488,12 @@ class BatchNormState:
 
         def stat(key):
             if isinstance(d[key], list):
-                return np.asarray(d[key], dtype=float)
+                return _float_array(d[key], f"{name}.{key}")
             return _array_from_dict(d[key], f"{name}.{key}")
 
-        return cls(stat("running_mean"), stat("running_var"), float(d["momentum"]), int(d["num_batches"]))
+        momentum = float(checked_entry(d["momentum"], "float", f"{name}.momentum"))
+        return cls(stat("running_mean"), stat("running_var"), momentum,
+                   checked_entry(d["num_batches"], "int", f"{name}.num_batches"))
 
 
 def batch_norm(a, gamma, beta, state: BatchNormState, training: bool, eps: float = 1e-5) -> Tensor:
@@ -682,11 +684,8 @@ def segment_mean(a, index, num_rows: int) -> Tensor:
     return mul(total, 1.0 / counts[:, None])
 
 
-def linear(x, weight, bias=None) -> Tensor:
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+def linear(x, weight, bias) -> Tensor:
+    return add(matmul(x, weight), bias)
 
 
 class ParameterInit:
@@ -720,16 +719,34 @@ def _array_to_dict(values: np.ndarray) -> dict:
     return {"shape": list(values.shape), "data": data}
 
 
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "object": (dict,)}
+
+
+def checked_entry(value, kind: str, name: str):
+    """``value`` if it is a JSON ``kind`` (a key of ``_JSON_TYPES``; a bool
+    is no number), else ValueError naming the checkpoint entry."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"checkpoint entry {name}: expected {kind}, got {type(value).__name__}")
+    return value
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"checkpoint entry {name}: {err}") from None
+
+
 def _array_from_dict(entry, name: str) -> np.ndarray:
     """Inverse of ``_array_to_dict``; ``{shape, values}`` is version 1's
     row-major decimal list.  Raises ValueError naming ``name``."""
     if not isinstance(entry, dict) or "shape" not in entry or not ({"data", "values"} & set(entry)):
         raise ValueError(f"checkpoint entry {name}: need 'shape' and 'data'")
     shape = tuple(entry["shape"]) if isinstance(entry["shape"], list) else None
-    if shape is None or not all(isinstance(n, int) and n >= 0 for n in shape):
+    if shape is None or not all(type(n) is int and n >= 0 for n in shape):  # a bool is no size
         raise ValueError(f"checkpoint entry {name}: shape {entry['shape']!r} is not a list of sizes")
     if "values" in entry:
-        return np.asarray(entry["values"], dtype=float).reshape(shape)
+        return _float_array(entry["values"], name).reshape(shape)
     try:
         raw = base64.b64decode(entry["data"], validate=True)
     except (binascii.Error, TypeError) as err:
@@ -758,30 +775,3 @@ def load_parameter_values(params: dict[str, Tensor], data: dict) -> None:
         if arr.shape != params[name].values.shape:
             raise ValueError(f"shape mismatch for {name}")
         params[name].values = arr
-
-
-# --- finite differences ------------------------------------------------------
-
-
-@no_grad()  # the forwards record no tape
-def finite_difference_gradients(build, params: dict[str, Tensor], h: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradient of ``build()`` (scalar) per parameter."""
-    grads = {}
-    for name, p in params.items():
-        g = np.zeros_like(p.values)
-        for idx in np.ndindex(p.values.shape):
-            orig = p.values[idx]
-            p.values[idx] = orig + h
-            hi = float(build().values)
-            p.values[idx] = orig - h
-            lo = float(build().values)
-            p.values[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * h)
-        grads[name] = g
-    return grads
-
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> float:
-    analytic = np.asarray(analytic, dtype=float)
-    numeric = np.asarray(numeric, dtype=float)
-    return float((np.abs(analytic - numeric) / (np.abs(numeric) + floor)).max())

@@ -1,10 +1,12 @@
 """Crystal ingestion and artifact serialization.
 
-Supports VASP-5 style POSCAR (species line, Direct or Cartesian, positive
-scale, no selective dynamics), a lossless JSON form of crystals and graphs,
-simple CSV tables for targets and predictions, and flat key=value run
-configs.  All file writes go through a write-temp-then-rename path so
-interrupted runs never leave torn artifacts.
+Reads VASP-5 style POSCAR (species line, Direct or Cartesian, positive
+scale, no selective dynamics), a lossless JSON form of crystals (JSON of
+the wrong type raises ValueError naming the field), a CSV of targets and
+flat key=value run configs.  Writes crystal JSON, graphs as JSON or text
+(read from the edge columns; nothing reads them back), and CSV tables of
+predictions and training logs.  All file writes go through a
+write-temp-then-rename path so interrupted runs never leave torn artifacts.
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
-import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .crystal import Crystal, crystal_from_frac, wrap_fractional
-from .graphs import KIND_ORDER, CrystalGraph, Edge, GraphMeta, LatticeImage
+from .graphs import KINDS, CrystalGraph
 
 ELEMENTS = (
     "H", "He", "Li", "Be", "B", "C", "N", "O", "F", "Ne",
@@ -144,14 +145,17 @@ def crystal_to_dict(crystal: Crystal) -> dict:
 
 
 def crystal_from_dict(data: dict) -> Crystal:
-    for key in ("atomic_numbers", "positions", "lattice"):
+    if not isinstance(data, dict):
+        raise ValueError(f"crystal JSON must be an object, got {type(data).__name__}")
+    arrays = {}
+    for key, dtype in (("atomic_numbers", int), ("positions", float), ("lattice", float)):
         if key not in data:
             raise ValueError(f"crystal JSON missing field {key!r}")
-    return Crystal(
-        atomic_numbers=np.asarray(data["atomic_numbers"], dtype=int),
-        positions=np.asarray(data["positions"], dtype=float),
-        lattice=np.asarray(data["lattice"], dtype=float),
-    )
+        try:
+            arrays[key] = np.asarray(data[key], dtype=dtype)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValueError(f"crystal JSON field {key!r}: {err}") from None
+    return Crystal(**arrays)
 
 
 def write_crystal_json(crystal: Crystal) -> str:
@@ -177,74 +181,22 @@ def read_crystal(path: str) -> Crystal:
 # --- graph serialization --------------------------------------------------------
 
 
+def _edge_rows(graph: CrystalGraph):
+    """Per edge: (src, dst, distance, image list, kind name), read from the columns."""
+    e = graph.edges
+    return zip(e.src.tolist(), e.dst.tolist(), e.distance.tolist(), e.image.tolist(),
+               map(KINDS.__getitem__, e.kind.tolist()))
+
+
 def graph_to_dict(graph: CrystalGraph) -> dict:
-    meta = graph.meta
     return {
-        "meta": {
-            "method": meta.method,
-            "neighbor_rank": meta.neighbor_rank,
-            "t": meta.t,
-            "radius": meta.radius,
-            "node_radii": list(meta.node_radii) if meta.node_radii is not None else None,
-            "self_edges": meta.self_edges,
-        },
+        "meta": asdict(graph.meta),  # keys in GraphMeta field order; node_radii, a tuple, dumps as a list
         "nodes": [{"index": i, "atomic_number": int(z)} for i, z in enumerate(graph.node_atomic_numbers)],
         "edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "distance": e.distance,
-                "image": list(e.image.k),
-                "kind": e.kind,
-            }
-            for e in graph.edges
+            {"src": src, "dst": dst, "distance": distance, "image": image, "kind": kind}
+            for src, dst, distance, image, kind in _edge_rows(graph)
         ],
     }
-
-
-def graph_from_dict(data: dict) -> CrystalGraph:
-    for key in ("meta", "nodes", "edges"):
-        if key not in data:
-            raise ValueError(f"graph JSON missing field {key!r}")
-    meta = data["meta"]
-    if "method" not in meta:
-        raise ValueError("graph JSON meta missing field 'method'")
-    try:
-        z = np.array([n["atomic_number"] for n in data["nodes"]], dtype=int)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("graph JSON nodes need an integer 'atomic_number' each") from None
-    bad = np.flatnonzero((z < 1) | (z > 118))
-    if bad.size:
-        raise ValueError(f"graph JSON node {bad[0]}: atomic number {z[bad[0]]} outside [1, 118]")
-    edges = []
-    for idx, e in enumerate(data["edges"]):
-        try:
-            src, dst, kind = int(e["src"]), int(e["dst"]), e["kind"]
-            if kind not in KIND_ORDER:
-                raise ValueError(f"unknown kind {kind!r}")
-            if not (0 <= src < z.size and 0 <= dst < z.size):
-                raise ValueError(f"node index out of range for {z.size} nodes")
-            distance = float(e["distance"])
-            if not (math.isfinite(distance) and distance >= 0.0):
-                raise ValueError(f"distance {distance!r} is not a finite non-negative number")
-            edges.append(Edge(src=src, dst=dst, distance=distance, image=LatticeImage(e["image"]), kind=kind))
-        except KeyError as err:
-            raise ValueError(f"graph JSON edge {idx}: missing field {err}") from None
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"graph JSON edge {idx}: {err}") from None
-    node_radii = meta.get("node_radii")
-    return CrystalGraph(
-        node_atomic_numbers=z,
-        edges=tuple(edges),
-        meta=GraphMeta(
-            method=meta["method"],
-            neighbor_rank=meta.get("neighbor_rank"),
-            t=meta.get("t"),
-            radius=meta.get("radius"),
-            node_radii=tuple(node_radii) if node_radii is not None else None,
-            self_edges=bool(meta.get("self_edges", False)),
-        ),
-    )
 
 
 def graph_to_json(graph: CrystalGraph) -> str:
@@ -257,22 +209,12 @@ def graph_to_text(graph: CrystalGraph) -> str:
     out.write(f"graph method={graph.meta.method} nodes={graph.n_nodes} edges={len(graph.edges)}\n")
     for i, z in enumerate(graph.node_atomic_numbers):
         out.write(f"node {i} {int(z)}\n")
-    for e in graph.edges:
-        k1, k2, k3 = e.image.k
-        out.write(f"edge {e.src} {e.dst} {e.distance!r} {k1} {k2} {k3} {e.kind}\n")
+    for src, dst, distance, (k1, k2, k3), kind in _edge_rows(graph):
+        out.write(f"edge {src} {dst} {distance!r} {k1} {k2} {k3} {kind}\n")
     return out.getvalue()
 
 
 # --- CSV tables -----------------------------------------------------------------
-
-
-def write_targets_csv(rows: list[tuple[str, float]]) -> str:
-    out = _stdio.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["id", "target"])
-    for rid, target in rows:
-        writer.writerow([rid, repr(float(target))])
-    return out.getvalue()
 
 
 def parse_targets_csv(text: str) -> dict[str, float]:

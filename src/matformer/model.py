@@ -278,9 +278,11 @@ class Matformer:
         unknown = sorted(set(data["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ValueError(f"checkpoint config has unknown keys: {unknown}")
+        config = {f.name: engine.checked_entry(data["config"][f.name], f.type, f"config.{f.name}")
+                  for f in fields(ModelConfig) if f.name in data["config"]}
         # every value is loaded below, so the parameters are built undrawn
         model = cls.__new__(cls)
-        model._build(ModelConfig(**data["config"]), engine.ParameterInit(None))
+        model._build(ModelConfig(**config), engine.ParameterInit(None))
         if len(data["bn_states"]) != len(model.layers):
             raise ValueError(
                 f"checkpoint has {len(data['bn_states'])} batch-norm states for {len(model.layers)} layers"

@@ -9,10 +9,15 @@ array builders edge for edge and bit for bit; the audit's signatures follow
 as sorted tuples of Python floats, compared entry by entry, and must give
 the array signatures' discrepancies bit for bit.  The attention head's
 composed chain of gathers, concatenations and products is the reference
-for the engine's two pair ops, also bit for bit.
+for the engine's two pair ops, also bit for bit.  Central finite
+differences check every gradient, an explicit line-graph construction
+checks the closed-form size, and a plain CSV writer feeds the targets
+reader.
 """
 
+import csv
 import dataclasses
+import io as stdio
 import itertools
 import math
 
@@ -119,6 +124,75 @@ def layer_norm_grads(a, gain, g, eps=1e-5):
     if gain.shape != d_gain.shape:
         d_gain = d_gain.sum(axis=0, keepdims=gain.ndim == 2)
     return term * inv + 0.0, d_gain + 0.0
+
+
+# --- numeric and counting references -------------------------------------------
+
+
+@engine.no_grad()  # the forwards record no tape
+def finite_difference_gradients(build, params, h=1e-5):
+    """Central-difference gradient of ``build()`` (scalar) per parameter."""
+    grads = {}
+    for name, p in params.items():
+        g = np.zeros_like(p.values)
+        for idx in np.ndindex(p.values.shape):
+            orig = p.values[idx]
+            p.values[idx] = orig + h
+            hi = float(build().values)
+            p.values[idx] = orig - h
+            lo = float(build().values)
+            p.values[idx] = orig
+            g[idx] = (hi - lo) / (2.0 * h)
+        grads[name] = g
+    return grads
+
+
+def max_relative_error(analytic, numeric, floor=1e-8):
+    analytic = np.asarray(analytic, dtype=float)
+    numeric = np.asarray(numeric, dtype=float)
+    return float((np.abs(analytic - numeric) / (np.abs(numeric) + floor)).max())
+
+
+def ring_multigraph(n_nodes, degree=12):
+    """Degree-regular multigraph without self edges: parallel ring edges."""
+    if n_nodes < 2:
+        raise ValueError("need at least two nodes for a self-edge-free multigraph")
+    if degree % 2 != 0:
+        raise ValueError("degree must be even")
+    edges = []
+    for u in range(n_nodes):
+        v = (u + 1) % n_nodes
+        edges.extend([(u, v)] * (degree // 2))
+    return edges
+
+
+def explicit_line_graph_size(edges):
+    """Count line-graph nodes/edges of ``audit.line_graph_size`` by direct
+    construction.
+
+    Every unordered pair of distinct original edges contributes one
+    line-graph edge per shared endpoint (parallel edges share two).
+    """
+    incident = {}
+    for idx, (u, v) in enumerate(edges):
+        if u == v:
+            raise ValueError("self edges are not supported")
+        incident.setdefault(u, []).append(idx)
+        incident.setdefault(v, []).append(idx)
+    line_edges = 0
+    for ids in incident.values():
+        line_edges += len(ids) * (len(ids) - 1) // 2
+    return len(edges), line_edges
+
+
+def write_targets_csv(rows):
+    """A targets CSV, 'id,target', that ``io.parse_targets_csv`` reads."""
+    out = stdio.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["id", "target"])
+    for rid, target in rows:
+        writer.writerow([rid, repr(float(target))])
+    return out.getvalue()
 
 
 # --- loop references for the negative controls and the self-edge merge ---------

@@ -9,14 +9,12 @@ from matformer.audit import (
     audit_e3_invariance,
     audit_knn_determinism,
     audit_periodic_invariance,
-    explicit_line_graph_size,
     graph_signature,
     knn_distance_only_builder,
     line_graph_size,
     make_builder,
     ocgraph_builder,
     quotient_discrepancy,
-    ring_multigraph,
     shift_sensitive_crystal,
     signature_discrepancy,
     tie_crystal,
@@ -35,12 +33,14 @@ from matformer.graphs import (
 )
 from matformer.synthetic import random_corpus
 from oracles import (
+    explicit_line_graph_size,
     loop_graph_signature,
     loop_knn_distance_only,
     loop_ocgraph,
     loop_quotient_discrepancy,
     loop_self_edges,
     loop_signature_discrepancy,
+    ring_multigraph,
 )
 from test_graphs import triclinic_cases
 

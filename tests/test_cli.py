@@ -231,6 +231,20 @@ class TestPredictCheckpoint:
         with pytest.raises(SystemExit, match=r"^cannot predict c0: non-finite values produced by matmul$"):
             main(["predict", "--checkpoint", path, "--data", corpus_dir])
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["config"].update(n_layers="2"), "config.n_layers: expected int, got str"),
+        (lambda d: d.update(target_scale=3), "target_scale: expected object, got int"),
+        (lambda d: d.update(target_scale={"mean": "0", "std": 1.0}), "target_scale.mean: expected float, got str"),
+    ])
+    def test_wrong_typed_checkpoint_field_exits_naming_it(self, corpus_dir, tmp_path, edit, message):
+        with open(os.path.join(os.path.dirname(__file__), "checkpoint_v1.json"), "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        edit(data)
+        path = self.write_checkpoint(tmp_path, json.dumps(data))
+        with pytest.raises(SystemExit) as err:
+            main(["predict", "--checkpoint", path, "--data", corpus_dir])
+        assert str(err.value) == f"cannot load checkpoint {path}: checkpoint entry {message}"
+
     def test_version_1_checkpoint_predicts(self, corpus_dir, capsys):
         fixture = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
         assert main(["predict", "--checkpoint", fixture, "--data", corpus_dir]) == 0
@@ -273,6 +287,25 @@ class TestRunConfig:
         with pytest.raises(SystemExit, match="invalid run config: .*readout_hidden"):
             self.train_with(tmp_path, "")
         assert not (tmp_path / "run").exists()
+
+
+class TestCouldNotRun:
+    @pytest.mark.parametrize("argv, message", [
+        (["audit", "{n}"], "cannot read {n}: crystal JSON must be an object, got int"),
+        (["build-graph", "{n}"], "cannot read {n}: crystal JSON must be an object, got int"),
+        (["audit", "{cube}", "--trials", "0"], "--trials must be >= 1, got 0: an audit of no trial shows nothing"),
+        (["audit", "{cube}", "--trials", "-1"], "--trials must be >= 1, got -1: an audit of no trial shows nothing"),
+        (["analyze", "line-graph-size", "--n", "0"], "cannot analyze line-graph-size: need at least one node"),
+        (["analyze", "line-graph-size", "--n", "4", "--degree", "3"],
+         "cannot analyze line-graph-size: degree must be even and >= 2"),
+    ])
+    def test_exits_two_with_one_line(self, tmp_path, cube_file, capsys, argv, message):
+        paths = {"n": tmp_path / "n.json", "cube": cube_file}
+        paths["n"].write_text("3")
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(**paths) for arg in argv])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == message.format(**paths) + "\n"
 
 
 class TestUsageErrors:

@@ -12,13 +12,17 @@ from matformer.engine import (
     Tensor,
     backward,
     batch_norm,
-    finite_difference_gradients,
     layer_norm,
-    max_relative_error,
     segment_mean,
     segment_softmax,
 )
-from oracles import composed_gated_pair_matmul, composed_pair_product, layer_norm_grads
+from oracles import (
+    composed_gated_pair_matmul,
+    composed_pair_product,
+    finite_difference_gradients,
+    layer_norm_grads,
+    max_relative_error,
+)
 
 RNG = np.random.default_rng(100)
 

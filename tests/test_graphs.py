@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from matformer import graphs
+from matformer import graphs, io
 from matformer.audit import audit_e3_invariance, audit_periodic_invariance, knn_distance_only_builder, make_builder
 from matformer.crystal import crystal_from_frac, shift_boundary, supercell
 from matformer.graphs import (
@@ -423,6 +423,9 @@ class TestEdgeTable:
         assert audit_e3_invariance(make_builder("radius", self_edges=True), crystals, 2, seed=1).violations == 0
         model = Matformer(ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4))
         assert model.prepare(crystals[0]).n_edges > 0
+        # the graph writers read the columns too
+        graph = add_self_connecting_edges(build_radius_graph(crystals[0]), crystals[0])
+        assert io.graph_to_json(graph).count('"kind"') == io.graph_to_text(graph).count("\nedge ") == len(graph.edges)
         with pytest.raises(AssertionError, match="an Edge row was built"):
             next(iter(build_radius_graph(crystals[0]).edges))
 

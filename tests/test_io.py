@@ -4,11 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matformer import io
-from matformer.crystal import frac_to_cart
-from matformer.graphs import add_self_connecting_edges, build_radius_graph
+from matformer.crystal import Crystal, frac_to_cart, wrap_fractional
+from matformer.graphs import KINDS, add_self_connecting_edges, build_radius_graph, build_t_fully_connected
 from matformer.synthetic import random_corpus
+from oracles import write_targets_csv
+
+# any value json.loads can return, nested
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
 
 MINIMAL_POSCAR = """hydrogen cube
 1.0
@@ -101,7 +111,7 @@ class TestParsePoscar:
     def test_positions_wrapped(self):
         text = MINIMAL_POSCAR.replace("0.0 0.0 0.0", "1.25 -0.25 0.5")
         c = io.parse_poscar(text)
-        assert np.allclose(c.wrapped_frac_coords[0], [0.25, 0.75, 0.5])
+        assert np.allclose(wrap_fractional(c.frac_coords)[0], [0.25, 0.75, 0.5])
 
 
 class TestCrystalJson:
@@ -134,96 +144,45 @@ class TestCrystalJson:
         with pytest.raises(ValueError, match="invalid"):
             io.parse_crystal_json("{not json")
 
+    @pytest.mark.parametrize("text", ["3", "null", "[]", '"crystal"'])
+    def test_rejects_non_object(self, text):
+        with pytest.raises(ValueError, match="^crystal JSON must be an object, got "):
+            io.parse_crystal_json(text)
+
+    def test_rejects_field_that_will_not_convert(self):
+        data = io.crystal_to_dict(random_corpus(1, seed=32)[0])
+        for key, value in (("atomic_numbers", {"Na": 1}), ("positions", [[0, 0], [1]]), ("lattice", "cubic")):
+            with pytest.raises(ValueError, match=f"^crystal JSON field '{key}': "):
+                io.crystal_from_dict({**data, key: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([None, "atomic_numbers", "positions", "lattice"]), JSON_VALUES)
+    def test_any_json_value_gives_a_crystal_or_value_error(self, key, value):
+        data = io.crystal_to_dict(random_corpus(1, seed=33, n_atoms_max=2)[0])
+        try:
+            assert isinstance(io.crystal_from_dict(value if key is None else {**data, key: value}), Crystal)
+        except ValueError:
+            pass
+
 
 class TestGraphSerialization:
     def _graph(self):
         c = io.parse_poscar(MINIMAL_POSCAR)
-        return add_self_connecting_edges(build_radius_graph(c), c), c
+        return add_self_connecting_edges(build_radius_graph(c), c)
 
-    def test_json_round_trip(self):
-        graph, _ = self._graph()
-        back = io.graph_from_dict(json.loads(io.graph_to_json(graph)))
-        assert back.n_nodes == graph.n_nodes
-        assert len(back.edges) == len(graph.edges)
-        for a, b in zip(graph.edges, back.edges):
-            assert (a.src, a.dst, a.image.k, a.kind) == (b.src, b.dst, b.image.k, b.kind)
-            assert a.distance == b.distance
-        assert back.meta.method == "radius"
-        assert back.meta.node_radii == graph.meta.node_radii
-
-    def test_rejects_image_of_two_components(self):
-        data = json.loads(io.graph_to_json(self._graph()[0]))
-        data["edges"][3]["image"] = [1, 0]
-        with pytest.raises(ValueError, match=r"edge 3: lattice image must be 3 integers"):
-            io.graph_from_dict(data)
-
-    def test_rejects_unknown_edge_kind(self):
-        data = json.loads(io.graph_to_json(self._graph()[0]))
-        data["edges"][5]["kind"] = "bogus"
-        with pytest.raises(ValueError, match=r"edge 5: unknown kind 'bogus'"):
-            io.graph_from_dict(data)
-
-    @pytest.mark.parametrize("distance", [float("nan"), float("inf"), -1.5])
-    def test_rejects_non_finite_or_negative_distance(self, distance):
-        data = json.loads(io.graph_to_json(self._graph()[0]))
-        data["edges"][4]["distance"] = distance
-        with pytest.raises(ValueError, match=r"edge 4: distance .* is not a finite non-negative number"):
-            io.graph_from_dict(data)
-
-    def test_rejects_edge_to_missing_node(self):
-        data = json.loads(io.graph_to_json(self._graph()[0]))
-        data["edges"][2]["dst"] = len(data["nodes"])
-        with pytest.raises(ValueError, match=r"edge 2: node index out of range"):
-            io.graph_from_dict(data)
-
-    def test_rejects_node_without_atomic_number(self):
-        data = json.loads(io.graph_to_json(self._graph()[0]))
-        del data["nodes"][0]["atomic_number"]
-        with pytest.raises(ValueError, match="atomic_number"):
-            io.graph_from_dict(data)
-
-    def test_rejects_atomic_number_out_of_range(self):
-        for z in (0, -1, 119):
-            data = json.loads(io.graph_to_json(self._graph()[0]))
-            data["nodes"].append({"atomic_number": z})
-            with pytest.raises(ValueError, match=rf"node 1: atomic number {z} outside \[1, 118\]"):
-                io.graph_from_dict(data)
-
-    def test_rejects_missing_meta(self):
-        data = json.loads(io.graph_to_json(self._graph()[0]))
-        del data["meta"]["method"]
-        with pytest.raises(ValueError, match="meta missing field 'method'"):
-            io.graph_from_dict(data)
-        del data["meta"]
-        with pytest.raises(ValueError, match="missing field 'meta'"):
-            io.graph_from_dict(data)
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda d: d.pop("edges"), "graph JSON missing field 'edges'"),
-        (lambda d: d.pop("nodes"), "graph JSON missing field 'nodes'"),
-        (lambda d: d["meta"].pop("method"), "graph JSON meta missing field 'method'"),
-        (lambda d: d["nodes"][0].update(atomic_number="C"), "graph JSON nodes need an integer 'atomic_number' each"),
-        (lambda d: d["nodes"][0].update(atomic_number=0), "graph JSON node 0: atomic number 0 outside [1, 118]"),
-        (lambda d: d["edges"][2].pop("src"), "graph JSON edge 2: missing field 'src'"),
-        (lambda d: d["edges"][2].pop("image"), "graph JSON edge 2: missing field 'image'"),
-        (lambda d: d["edges"][2].update(src="x"), "graph JSON edge 2: invalid literal for int() with base 10: 'x'"),
-        (lambda d: d["edges"][2].update(kind="bogus"), "graph JSON edge 2: unknown kind 'bogus'"),
-        (lambda d: d["edges"][2].update(src=-1), "graph JSON edge 2: node index out of range for 1 nodes"),
-        (lambda d: d["edges"][2].update(distance=-1.5),
-         "graph JSON edge 2: distance -1.5 is not a finite non-negative number"),
-        (lambda d: d["edges"][2].update(image=[1, 0]), "graph JSON edge 2: lattice image must be 3 integers, got [1, 0]"),
-        (lambda d: d["edges"][2].update(image=[1, 0, 0.5]),
-         "graph JSON edge 2: lattice image must be 3 integers, got [1, 0, 0.5]"),
-    ])
-    def test_every_rejection_message(self, edit, message):
-        data = json.loads(io.graph_to_json(self._graph()[0]))
-        edit(data)
-        with pytest.raises(ValueError) as err:
-            io.graph_from_dict(data)
-        assert str(err.value) == message
+    def test_json_holds_the_edge_columns_bit_for_bit(self):
+        c = random_corpus(1, seed=31, n_atoms_max=3)[0]
+        for graph in (self._graph(), build_t_fully_connected(c, t=2), add_self_connecting_edges(build_radius_graph(c), c)):
+            data = json.loads(io.graph_to_json(graph))
+            e = graph.edges
+            assert [n["atomic_number"] for n in data["nodes"]] == graph.node_atomic_numbers.tolist()
+            got = [(d["src"], d["dst"], d["image"], d["kind"], d["distance"].hex()) for d in data["edges"]]
+            assert got == list(zip(e.src.tolist(), e.dst.tolist(), e.image.tolist(), [KINDS[k] for k in e.kind.tolist()],
+                                   [x.hex() for x in e.distance.tolist()]))
+            assert data["meta"] == json.loads(json.dumps(vars(graph.meta)))  # node_radii as a list
 
     def test_text_format_shape(self):
-        graph, _ = self._graph()
+        graph = self._graph()
         text = io.graph_to_text(graph)
         lines = text.strip().splitlines()
         assert lines[0].startswith("graph method=radius")
@@ -234,7 +193,7 @@ class TestGraphSerialization:
 class TestCsvTables:
     def test_targets_round_trip(self):
         rows = [("a", 1.25), ("b", -0.5)]
-        parsed = io.parse_targets_csv(io.write_targets_csv(rows))
+        parsed = io.parse_targets_csv(write_targets_csv(rows))
         assert parsed == {"a": 1.25, "b": -0.5}
 
     def test_duplicate_id_rejected(self):

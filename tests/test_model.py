@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import os
+import re
 import time
 import tracemalloc
 
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matformer import engine
-from matformer.crystal import E3Transform, apply_e3, crystal_from_frac, random_orthogonal, shift_boundary, supercell
-from matformer.engine import Tensor, backward, finite_difference_gradients, max_relative_error
+from matformer.crystal import (E3Transform, apply_e3, crystal_from_frac, random_orthogonal, shift_boundary, supercell,
+                               wrap_fractional)
+from matformer.engine import Tensor, backward
 from matformer.featurize import batch_prepared
 from matformer.model import ATTENTION_VARIANTS, Matformer, MatformerLayer, ModelConfig, attention_gate
 from matformer.synthetic import random_corpus, random_crystal
-from oracles import composed_aggregate_messages
+from oracles import composed_aggregate_messages, finite_difference_gradients, max_relative_error
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import CONFIG as GOLDEN_CONFIG
 
@@ -279,7 +281,7 @@ class TestModelInvariances:
         perm = rng.permutation(4)
         permuted = crystal_from_frac(
             crystal.atomic_numbers[perm],
-            crystal.wrapped_frac_coords[perm],
+            wrap_fractional(crystal.frac_coords)[perm],
             crystal.lattice,
         )
         assert abs(model.predict(permuted) - base) < 1e-9
@@ -474,6 +476,30 @@ class TestCheckpointFormat:
         data["params"]["readout.b2"]["data"] = "not base64!"
         with pytest.raises(ValueError, match=r"readout\.b2: data is not base64"):
             Matformer.from_checkpoint(data)
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("config", "n_layers", "2", "config.n_layers: expected int, got str"),
+        ("config", "n_layers", None, "config.n_layers: expected int, got NoneType"),
+        ("config", "d_model", True, "config.d_model: expected int, got bool"),
+        ("config", "d_model", 4.0, "config.d_model: expected int, got float"),
+        ("config", "rbf_hi", "8", "config.rbf_hi: expected float, got str"),
+        ("config", "activation", 1, "config.activation: expected str, got int"),
+        ("config", "use_self_edges", 1, "config.use_self_edges: expected bool, got int"),
+        ("bn", "momentum", [0.1], "bn_states[0].momentum: expected float, got list"),
+        ("bn", "num_batches", "1", "bn_states[0].num_batches: expected int, got str"),
+        ("bn", "running_mean", [{}, 0.0, 0.0, 0.0], "bn_states[0].running_mean: float() argument"),
+        ("param", "shape", [True], "readout.b2: shape [True] is not a list of sizes"),
+    ])
+    def test_wrong_typed_entry_is_named(self, section, key, value, message):
+        with open(CHECKPOINT_V1, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        {"config": data["config"], "bn": data["bn_states"][0], "param": data["params"]["readout.b2"]}[section][key] = value
+        with pytest.raises(ValueError, match=f"^checkpoint entry {re.escape(message)}"):
+            Matformer.from_checkpoint(data)
+
+    def test_an_int_where_a_float_is_read_loads(self):
+        text = json.dumps(Matformer(SMALL, seed=6).to_checkpoint()).replace('"rbf_hi": 8.0', '"rbf_hi": 8')
+        assert '"rbf_hi": 8,' in text and Matformer.from_checkpoint(json.loads(text)).config.rbf_hi == 8
 
 
 class TestInference:
