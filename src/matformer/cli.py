@@ -55,6 +55,16 @@ def _load_crystals(paths: list[str]) -> list[tuple[str, "object"]]:
     return out
 
 
+def _parse_file(path: str, parse):
+    """``parse`` of the text of ``path``; a file that cannot be read or
+    parsed is a ``CannotRun`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as err:  # ValueError includes ParseError and UnicodeDecodeError
+        raise CannotRun(f"cannot read {path}: {err}") from None
+
+
 def cmd_build_graph(args) -> int:
     crystals = _load_crystals([args.input])
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
@@ -153,18 +163,18 @@ def _run_configs(mapping: dict[str, str]) -> tuple[ModelConfig, training.TrainCo
     known = {f"{prefix}.{f.name}": f.type for prefix, cls in sections.items() for f in fields(cls)}
     unknown = sorted(set(mapping) - set(known))
     if unknown:
-        raise SystemExit(f"unknown run-config keys: {unknown}; accepted keys: {sorted(known)}")
+        raise CannotRun(f"unknown run-config keys: {unknown}; accepted keys: {sorted(known)}")
     kwargs = {prefix: {} for prefix in sections}
     for key, raw in mapping.items():
         prefix, name = key.split(".", 1)
         try:
             kwargs[prefix][name] = _PARSERS[known[key]](raw)
         except ValueError as err:
-            raise SystemExit(f"run-config key {key}: {err}") from err
+            raise CannotRun(f"run-config key {key}: {err}") from err
     try:
         return ModelConfig(**kwargs["model"]), training.TrainConfig(**kwargs["train"])
     except ValueError as err:
-        raise SystemExit(f"invalid run config: {err}") from err
+        raise CannotRun(f"invalid run config: {err}") from err
 
 
 def _load_dataset(args) -> list[io.DatasetRecord]:
@@ -176,14 +186,16 @@ def _load_dataset(args) -> list[io.DatasetRecord]:
             for i, c in enumerate(crystals)
         ]
     if not args.data or not args.targets:
-        raise SystemExit("provide --synthetic N or both --data and --targets")
-    with open(args.targets, "r", encoding="utf-8") as fh:
-        targets = io.parse_targets_csv(fh.read())
+        raise CannotRun("provide --synthetic N or both --data and --targets")
+    targets = _parse_file(args.targets, io.parse_targets_csv)
     records = []
     for name, crystal in _load_crystals([args.data]):
         if name not in targets:
-            raise SystemExit(f"no target for crystal {name!r}")
-        records.append(io.DatasetRecord(id=name, crystal=crystal, target=targets[name]))
+            raise CannotRun(f"no target for crystal {name!r}")
+        try:
+            records.append(io.DatasetRecord(id=name, crystal=crystal, target=targets[name]))
+        except ValueError as err:
+            raise CannotRun(f"cannot train on {args.targets}: {err}") from None
     return records
 
 
@@ -200,16 +212,13 @@ def _split(records, val_fraction, test_fraction, seed):
 
 
 def cmd_train(args) -> int:
-    mapping = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            mapping = io.parse_run_config(fh.read())
+    mapping = _parse_file(args.config, io.parse_run_config) if args.config else {}
     model_config, train_config = _run_configs(mapping)
 
     records = _load_dataset(args)
     train_recs, val_recs, test_recs = _split(records, args.val_fraction, args.test_fraction, train_config.seed)
     if not val_recs:
-        raise SystemExit(
+        raise CannotRun(
             f"--val-fraction {args.val_fraction} leaves no validation crystal among {len(records)}; "
             "best-checkpoint selection needs at least one: raise --val-fraction or add crystals"
         )
@@ -241,23 +250,20 @@ def cmd_predict(args) -> int:
         if scale is not None:
             engine.checked_entry(scale, "object", "target_scale")
             scale = {k: engine.checked_entry(scale.get(k), "float", f"target_scale.{k}") for k in ("mean", "std")}
-    except ValueError as err:  # includes JSONDecodeError and UnicodeDecodeError
-        raise SystemExit(f"cannot load checkpoint {args.checkpoint}: {err}") from None
+    except (OSError, ValueError) as err:  # ValueError includes JSONDecodeError and UnicodeDecodeError
+        raise CannotRun(f"cannot load checkpoint {args.checkpoint}: {err}") from None
     del checkpoint  # megabytes of base64 text the model no longer needs
     if scale is None:
         print("warning: checkpoint has no target_scale; predictions are in normalized units "
               "(mean 0, std 1)", file=sys.stderr)
         scale = {"mean": 0.0, "std": 1.0}
-    targets = {}
-    if args.targets:
-        with open(args.targets, "r", encoding="utf-8") as fh:
-            targets = io.parse_targets_csv(fh.read())
+    targets = _parse_file(args.targets, io.parse_targets_csv) if args.targets else {}
     rows = []
     for name, crystal in _load_crystals([args.data]):
         try:
             pred = model.predict(crystal) * scale["std"] + scale["mean"]
         except FloatingPointError as err:
-            raise SystemExit(f"cannot predict {name}: {err}") from None
+            raise CannotRun(f"cannot predict {name}: {err}") from None
         rows.append((name, pred, targets.get(name, math.nan)))
     text = io.write_predictions_csv(rows)
     if args.out:

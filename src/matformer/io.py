@@ -219,11 +219,19 @@ def graph_to_text(graph: CrystalGraph) -> str:
 
 def parse_targets_csv(text: str) -> dict[str, float]:
     reader = csv.reader(_stdio.StringIO(text))
+    try:
+        return _targets_from_rows(reader)
+    except csv.Error as err:  # a malformed or overlong field: no ValueError of its own
+        raise ParseError(reader.line_num, str(err)) from None
+
+
+def _targets_from_rows(reader) -> dict[str, float]:
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:2]] != ["id", "target"]:
         raise ValueError("targets CSV must start with header 'id,target'")
     out: dict[str, float] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the row's last line: a quoted field may span lines
         if not row:
             continue
         if len(row) < 2:

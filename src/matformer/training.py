@@ -142,6 +142,16 @@ def _epoch_batches(order: np.ndarray, atoms: np.ndarray, batch_size: int) -> lis
     return batches
 
 
+def _take_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Move each parameter's gradient out of its ``.grad`` (zeros where none
+    arrived), so the update holds the only reference and frees them all."""
+    grads = {}
+    for k, p in params.items():
+        grads[k] = p.grad if p.grad is not None else np.zeros_like(p.values)
+        p.grad = None
+    return grads
+
+
 def _copy_weights(model: Matformer) -> tuple[dict[str, np.ndarray], list[BatchNormState]]:
     """Copies of the model's parameter values and batch-norm states."""
     return ({k: p.values.copy() for k, p in model.parameters().items()},
@@ -181,8 +191,10 @@ def train(
     Records carry ``.crystal`` and ``.target``.  Targets are standardized on
     the training split (metrics are reported in original units).  The best
     checkpoint by validation MAE is retained; the model itself ends with the
-    last epoch's weights.  A trailing minibatch of a single one-atom crystal
-    is trained together with the batch before it (see ``_epoch_batches``).
+    last epoch's weights and no parameter holds a ``.grad``: each step's
+    gradients are freed once Adam has applied them.  A trailing minibatch of
+    a single one-atom crystal is trained together with the batch before it
+    (see ``_epoch_batches``).
     Fully deterministic for a fixed config seed and model.
     """
     if not val_records:
@@ -216,6 +228,7 @@ def train(
     log: list[dict] = []
     best_val = math.inf
     best_weights = _copy_weights(model)
+    model.zero_grad()  # backward accumulates; each step's _take_grads leaves no .grad behind
 
     for epoch in range(config.epochs):
         order = rng.permutation(n_train)
@@ -239,11 +252,8 @@ def train(
             loss_value = float(loss.values)
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(f"loss diverged at epoch {epoch} step {global_step}")
-            model.zero_grad()
             loss.backward()
-            grads = {k: (p.grad if p.grad is not None else np.zeros_like(p.values))
-                     for k, p in params.items()}
-            adam_step(params, state, lr, grads, weight_decay=config.weight_decay)
+            adam_step(params, state, lr, _take_grads(params), weight_decay=config.weight_decay)
             epoch_losses.append(loss_value)
 
         val_preds = evaluate(model, val_graphs) * t_std + t_mean

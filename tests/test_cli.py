@@ -307,6 +307,39 @@ class TestCouldNotRun:
         assert err.value.code == 2
         assert capsys.readouterr().err == message.format(**paths) + "\n"
 
+    V1 = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
+    NO_FILE = "[Errno 2] No such file or directory: '{missing}'"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "{corpus}", "--targets", "{missing}"], "cannot read {missing}: " + NO_FILE),
+        (["train", "--data", "{corpus}", "--targets", "{nan}"],
+         "cannot train on {nan}: record 'c0' has a non-finite target"),
+        (["train", "--data", "{corpus}", "--targets", "{x}"], "cannot read {x}: line 2: non-numeric target 'x'"),
+        (["train", "--synthetic", "4", "--config", "{missing}"], "cannot read {missing}: " + NO_FILE),
+        (["train", "--synthetic", "4", "--config", "{nonsense}"],
+         "cannot read {nonsense}: line 1: expected key=value, got 'nonsense'"),
+        (["predict", "--checkpoint", "{missing}", "--data", "{corpus}"], "cannot load checkpoint {missing}: " + NO_FILE),
+        (["predict", "--checkpoint", "{corpus}", "--data", "{corpus}"],
+         "cannot load checkpoint {corpus}: [Errno 21] Is a directory: '{corpus}'"),
+        (["predict", "--checkpoint", V1, "--data", "{corpus}", "--targets", "{missing}"],
+         "cannot read {missing}: " + NO_FILE),
+        (["predict", "--checkpoint", V1, "--data", "{corpus}", "--targets", "{x}"],
+         "cannot read {x}: line 2: non-numeric target 'x'"),
+    ])
+    def test_unusable_train_or_predict_file_exits_two(self, tmp_path, corpus_dir, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # where train's default --out-dir would be made
+        paths = {"corpus": corpus_dir, "missing": str(tmp_path / "missing"), "nan": tmp_path / "nan.csv",
+                 "x": tmp_path / "x.csv", "nonsense": tmp_path / "nonsense.cfg"}
+        paths["nan"].write_text("id,target\nc0,nan\nc1,1\nc2,2\n")
+        paths["x"].write_text("id,target\nc0,x\n")
+        paths["nonsense"].write_text("nonsense\n")
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(**paths) for arg in argv])
+        stderr = capsys.readouterr().err
+        assert err.value.code == 2
+        assert stderr == message.format(**paths) + "\n" and "Traceback" not in stderr
+        assert not (tmp_path / "run").exists()
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_two(self):

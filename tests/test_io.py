@@ -20,6 +20,11 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 
+# any text, and text drawn mostly from the characters the targets CSV and
+# the run config give a meaning to, with and without the CSV header
+FORMAT_TEXT = st.text(alphabet='id,target="=#\r\n\x00 .e-+19nax', max_size=60)
+ANY_TEXT = st.text() | FORMAT_TEXT | FORMAT_TEXT.map(lambda body: "id,target\n" + body)
+
 MINIMAL_POSCAR = """hydrogen cube
 1.0
 1.0 0.0 0.0
@@ -205,6 +210,23 @@ class TestCsvTables:
         with pytest.raises(ValueError, match="header"):
             io.parse_targets_csv("a,1.0\n")
 
+    def test_line_numbers_count_lines_not_rows(self):
+        with pytest.raises(io.ParseError, match=r"^line 4: non-numeric target 'x'$"):
+            io.parse_targets_csv('id,target\n"a\nb",1\nc,x\n')
+
+    def test_overlong_field_names_its_line(self):
+        with pytest.raises(io.ParseError, match=r"^line 3: field larger than field limit"):
+            io.parse_targets_csv("id,target\na,1.0\nb," + "1" * 131073 + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY_TEXT)
+    def test_any_text_gives_targets_or_value_error(self, text):
+        try:
+            targets = io.parse_targets_csv(text)
+        except ValueError:
+            return
+        assert all(isinstance(k, str) and isinstance(v, float) for k, v in targets.items())
+
     def test_predictions_have_abs_err(self):
         text = io.write_predictions_csv([("a", 1.5, 1.0)])
         line = text.strip().splitlines()[1].split(",")
@@ -229,6 +251,15 @@ class TestRunConfig:
         text = "train.epochs=2\n# again\ntrain.epochs = 3\n"
         with pytest.raises(io.ParseError, match=r"line 3: duplicate key 'train.epochs', first set on line 1"):
             io.parse_run_config(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ANY_TEXT)
+    def test_any_text_gives_a_mapping_or_value_error(self, text):
+        try:
+            mapping = io.parse_run_config(text)
+        except ValueError:
+            return
+        assert all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items())
 
 
 class TestAtomicWrite:

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matformer import engine, training
 from matformer.engine import Tensor
 from matformer.featurize import batch_prepared
 from matformer.io import DatasetRecord
@@ -165,6 +168,26 @@ class TestTrainLoop:
         taped = model.forward(batch_prepared(prepared), training=False)
         assert taped._entry is not None
         assert np.array_equal(evaluate(model, prepared), taped.values[:, 0])
+
+    def test_each_step_frees_its_gradients_before_the_next_backward(self, monkeypatch):
+        records = make_records(4, seed=8)  # one batch of 4: every step sees the same crystals
+        model = Matformer(TINY_MODEL, seed=4)
+        applied = []  # weakrefs to the gradients of each step's update, in step order
+        backward = engine.backward
+
+        def keeping_adam_step(params, state, lr, grads, **kwargs):
+            applied.append([weakref.ref(g) for g in grads.values()])
+            adam_step(params, state, lr, grads, **kwargs)
+
+        def checking_backward(root):
+            assert [step for step, refs in enumerate(applied) if any(r() is not None for r in refs)] == []
+            backward(root)
+
+        monkeypatch.setattr(training, "adam_step", keeping_adam_step)
+        monkeypatch.setattr(engine, "backward", checking_backward)
+        train(model, records, records, TrainConfig(epochs=3, batch_size=4, seed=0))
+        assert len(applied) == 3
+        assert [k for k, p in model.parameters().items() if p.grad is not None] == []
 
     def test_log_columns(self):
         records = make_records(4, seed=5)
