@@ -245,13 +245,10 @@ def cmd_predict(args) -> int:
     try:
         with open(args.checkpoint, "r", encoding="utf-8") as fh:
             checkpoint = json.load(fh)
-        model = Matformer.from_checkpoint(checkpoint)
-        scale = checkpoint.get("target_scale")
-        if scale is not None:
-            engine.checked_entry(scale, "object", "target_scale")
-            scale = {k: engine.checked_entry(scale.get(k), "float", f"target_scale.{k}") for k in ("mean", "std")}
+        model = Matformer.from_checkpoint(checkpoint)  # checks target_scale too
     except (OSError, ValueError) as err:  # ValueError includes JSONDecodeError and UnicodeDecodeError
         raise CannotRun(f"cannot load checkpoint {args.checkpoint}: {err}") from None
+    scale = checkpoint.get("target_scale")
     del checkpoint  # megabytes of base64 text the model no longer needs
     if scale is None:
         print("warning: checkpoint has no target_scale; predictions are in normalized units "
@@ -288,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_options(p):
-        p.add_argument("--method", choices=("radius", "tfc"), default="radius")
         p.add_argument("--rank", type=int, default=12, help="neighbor rank for the radius method")
         p.add_argument("--t", type=int, default=3, help="edges per pair for the tfc method")
         p.add_argument("--self-edges", action="store_true", help="add the six lattice self edges")
 
     p = sub.add_parser("build-graph", help="construct a crystal graph")
     p.add_argument("input")
+    p.add_argument("--method", choices=("radius", "tfc"), default="radius")
     add_graph_options(p)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out")
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="fuzz a construction for invariance violations")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--builder", choices=("radius", "tfc", "ocgraph", "knn"), default="radius")
-    add_graph_options(p)
+    add_graph_options(p)  # and no --method: --builder names the construction
     p.add_argument("--mode", choices=("periodic", "e3"), default="periodic")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -315,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="embed a crystal graph with seeded weights")
     p.add_argument("input")
+    p.add_argument("--method", choices=("radius", "tfc"), default="radius")
     add_graph_options(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d-model", type=int, default=128)

@@ -25,8 +25,6 @@ checked so the error names the op).
 
 from __future__ import annotations
 
-import base64
-import binascii
 import contextlib
 import contextvars
 import math
@@ -36,6 +34,7 @@ import numpy as np
 
 _RECORDING = contextvars.ContextVar("matformer_engine_recording", default=True)
 _CHECKING = contextvars.ContextVar("matformer_engine_checking", default=True)
+_NORM_EPS = 1e-5  # added to the variance by layer_norm and batch_norm
 
 
 @contextlib.contextmanager
@@ -421,7 +420,7 @@ def segment_softmax(a, segments, num_segments: int) -> Tensor:
     return _node(s, (ea,), bw, "segment_softmax")
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gain, bias) -> Tensor:
     """Normalize over the last axis, then apply elementwise affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     ea, eg, eb = _grad_entry(a), _grad_entry(gain), _grad_entry(bias)
@@ -433,7 +432,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat = a.values - mean
     var = np.square(xhat).sum(axis=-1, keepdims=True)
     var /= dim
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat *= inv
     gv = gain.values
 
@@ -467,36 +466,11 @@ class BatchNormState:
     num_batches: int = 0
 
     @classmethod
-    def create(cls, dim: int, momentum: float = 0.1) -> "BatchNormState":
-        return cls(np.zeros(dim), np.ones(dim), momentum)
-
-    def to_dict(self) -> dict:
-        return {
-            "running_mean": _array_to_dict(self.running_mean),
-            "running_var": _array_to_dict(self.running_var),
-            "momentum": self.momentum,
-            "num_batches": self.num_batches,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, name: str = "batch-norm state") -> "BatchNormState":
-        """Inverse of ``to_dict``; version 1 stored the statistics as bare lists."""
-        keys = ("running_mean", "running_var", "momentum", "num_batches")
-        missing = [key for key in keys if key not in d] if isinstance(d, dict) else list(keys)
-        if missing:
-            raise ValueError(f"checkpoint entry {name}: missing {missing}")
-
-        def stat(key):
-            if isinstance(d[key], list):
-                return _float_array(d[key], f"{name}.{key}")
-            return _array_from_dict(d[key], f"{name}.{key}")
-
-        momentum = float(checked_entry(d["momentum"], "float", f"{name}.momentum"))
-        return cls(stat("running_mean"), stat("running_var"), momentum,
-                   checked_entry(d["num_batches"], "int", f"{name}.num_batches"))
+    def create(cls, dim: int) -> "BatchNormState":
+        return cls(np.zeros(dim), np.ones(dim))
 
 
-def batch_norm(a, gamma, beta, state: BatchNormState, training: bool, eps: float = 1e-5) -> Tensor:
+def batch_norm(a, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     """Column-wise batch normalization over axis 0.
 
     Training mode normalizes with batch statistics and updates the running
@@ -514,14 +488,14 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool, eps: float
             raise ValueError("batch_norm training mode needs at least 2 rows")
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + _NORM_EPS)
         xhat = (x - mean) * inv
         m = state.momentum
         state.running_mean = (1.0 - m) * state.running_mean + m * mean
         state.running_var = (1.0 - m) * state.running_var + m * var * n / (n - 1)
         state.num_batches += 1
     else:
-        inv = 1.0 / np.sqrt(state.running_var + eps)
+        inv = 1.0 / np.sqrt(state.running_var + _NORM_EPS)
         xhat = (x - state.running_mean) * inv
     gv = gamma.values
 
@@ -690,88 +664,25 @@ def linear(x, weight, bias) -> Tensor:
 
 class ParameterInit:
     """Makes the model's parameter leaves: weights are standard normals from
-    ``rng`` (or another ParameterInit's) over sqrt(fan_in); with ``rng`` None
-    nothing is drawn and weights are zeros, for a checkpoint load to replace."""
+    ``rng`` (or another ParameterInit's) over sqrt(fan_in).  With ``rng``
+    None nothing is drawn or allocated: each leaf holds a read-only
+    zero-stride view of its initial value, whatever its shape, for a
+    checkpoint load to replace."""
 
     def __init__(self, rng: np.random.Generator | ParameterInit | None):
         self.rng = rng.rng if isinstance(rng, ParameterInit) else rng
 
     def weight(self, shape, fan_in: int) -> Tensor:
-        values = np.zeros(shape) if self.rng is None else self.rng.standard_normal(shape) / math.sqrt(fan_in)
+        if self.rng is None:
+            return self.zeros(shape)
+        return Tensor(self.rng.standard_normal(shape) / math.sqrt(fan_in), requires_grad=True)
+
+    def zeros(self, shape) -> Tensor:
+        return self._filled(shape, 0.0)
+
+    def ones(self, shape) -> Tensor:
+        return self._filled(shape, 1.0)
+
+    def _filled(self, shape, value: float) -> Tensor:
+        values = np.broadcast_to(value, shape) if self.rng is None else np.full(shape, value)
         return Tensor(values, requires_grad=True)
-
-    @staticmethod
-    def zeros(shape) -> Tensor:
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    @staticmethod
-    def ones(shape) -> Tensor:
-        return Tensor(np.ones(shape), requires_grad=True)
-
-
-# --- parameter checkpointing -------------------------------------------------
-
-
-def _array_to_dict(values: np.ndarray) -> dict:
-    """{shape, base64 of the row-major little-endian f8 bytes}; every bit
-    survives JSON, and writing or parsing it is far cheaper than decimals."""
-    data = base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
-    return {"shape": list(values.shape), "data": data}
-
-
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "object": (dict,)}
-
-
-def checked_entry(value, kind: str, name: str):
-    """``value`` if it is a JSON ``kind`` (a key of ``_JSON_TYPES``; a bool
-    is no number), else ValueError naming the checkpoint entry."""
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
-        raise ValueError(f"checkpoint entry {name}: expected {kind}, got {type(value).__name__}")
-    return value
-
-
-def _float_array(values, name: str) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ValueError(f"checkpoint entry {name}: {err}") from None
-
-
-def _array_from_dict(entry, name: str) -> np.ndarray:
-    """Inverse of ``_array_to_dict``; ``{shape, values}`` is version 1's
-    row-major decimal list.  Raises ValueError naming ``name``."""
-    if not isinstance(entry, dict) or "shape" not in entry or not ({"data", "values"} & set(entry)):
-        raise ValueError(f"checkpoint entry {name}: need 'shape' and 'data'")
-    shape = tuple(entry["shape"]) if isinstance(entry["shape"], list) else None
-    if shape is None or not all(type(n) is int and n >= 0 for n in shape):  # a bool is no size
-        raise ValueError(f"checkpoint entry {name}: shape {entry['shape']!r} is not a list of sizes")
-    if "values" in entry:
-        return _float_array(entry["values"], name).reshape(shape)
-    try:
-        raw = base64.b64decode(entry["data"], validate=True)
-    except (binascii.Error, TypeError) as err:
-        raise ValueError(f"checkpoint entry {name}: data is not base64 ({err})") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(
-            f"checkpoint entry {name}: {len(raw)} bytes of data for shape {list(shape)}, "
-            f"which needs {8 * math.prod(shape)}"
-        )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
-
-
-def parameters_to_dict(params: dict[str, Tensor]) -> dict:
-    """Name -> {shape, base64 little-endian f8 data}."""
-    return {name: _array_to_dict(t.values) for name, t in params.items()}
-
-
-def load_parameter_values(params: dict[str, Tensor], data: dict) -> None:
-    """Load checkpoint values into an existing parameter dict, strictly."""
-    missing = set(params) - set(data)
-    extra = set(data) - set(params)
-    if missing or extra:
-        raise ValueError(f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    for name, entry in data.items():
-        arr = _array_from_dict(entry, name)
-        if arr.shape != params[name].values.shape:
-            raise ValueError(f"shape mismatch for {name}")
-        params[name].values = arr

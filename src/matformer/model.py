@@ -17,6 +17,7 @@ comparison.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -28,9 +29,6 @@ from .engine import BatchNormState, Tensor
 from .featurize import GraphEmbedding, PreparedGraph, prepare_graph
 
 ATTENTION_VARIANTS = ("sigmoid_norm", "softmax_scalar", "softmax_vector")
-
-# version 1 had no format_version field and stored arrays as decimal lists
-CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -254,40 +252,128 @@ class Matformer:
         return {
             "format_version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
-            "params": engine.parameters_to_dict(self.parameters()),
-            "bn_states": [layer.bn_state.to_dict() for layer in self.layers],
+            "params": {name: _encode(t.values) for name, t in self.parameters().items()},
+            "bn_states": [
+                {"running_mean": _encode(s.running_mean), "running_var": _encode(s.running_var),
+                 "momentum": s.momentum, "num_batches": s.num_batches}
+                for s in (layer.bn_state for layer in self.layers)
+            ],
         }
 
     @classmethod
     def from_checkpoint(cls, data: dict) -> "Matformer":
         """Rebuild a model from ``to_checkpoint``'s dict, or from a version 1
-        one (no ``format_version``; arrays as decimal ``values`` lists)."""
+        one (no ``format_version``; arrays as decimal ``values`` lists).
+
+        Every field is checked, and ``target_scale`` too if it is there: a
+        value of the wrong JSON type or an array that is not the shape the
+        model built raises ValueError naming the entry.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"checkpoint must be a JSON object, got {type(data).__name__}")
         version = data.get("format_version", 1)
         if isinstance(version, bool) or version not in (1, CHECKPOINT_VERSION):
-            raise ValueError(
-                f"unsupported checkpoint format_version {version!r}; this version reads 1 and {CHECKPOINT_VERSION}"
-            )
+            raise ValueError(f"unsupported checkpoint format_version {version!r}; "
+                             f"this version reads 1 and {CHECKPOINT_VERSION}")
         missing = [key for key in ("config", "params", "bn_states") if key not in data]
         if missing:
             raise ValueError(f"checkpoint is missing field(s) {missing}")
         if not (isinstance(data["config"], dict) and isinstance(data["params"], dict)
                 and isinstance(data["bn_states"], list)):
             raise ValueError("checkpoint 'config' and 'params' must be objects and 'bn_states' a list")
+        scale = data.get("target_scale")
+        if scale is not None:
+            _checked(scale, "object", "target_scale")
+            for key in ("mean", "std"):
+                _checked(scale.get(key), "float", f"target_scale.{key}")
         unknown = sorted(set(data["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ValueError(f"checkpoint config has unknown keys: {unknown}")
-        config = {f.name: engine.checked_entry(data["config"][f.name], f.type, f"config.{f.name}")
-                  for f in fields(ModelConfig) if f.name in data["config"]}
-        # every value is loaded below, so the parameters are built undrawn
+        config = ModelConfig(**{f.name: _checked(data["config"][f.name], f.type, f"config.{f.name}")
+                                for f in fields(ModelConfig) if f.name in data["config"]})
+        if len(data["bn_states"]) != config.n_layers:
+            raise ValueError(f"checkpoint has {len(data['bn_states'])} batch-norm states "
+                             f"for {config.n_layers} layers")
+        if config.n_layers * config.n_heads > len(data["params"]):  # each head has parameters of its own
+            raise ValueError(f"checkpoint has {len(data['params'])} parameters for "
+                             f"{config.n_layers * config.n_heads} attention heads")
+        # no declared size is allocated before stored values check it: the (d_model,)
+        # statistics load first, and the parameters are built undrawn and unallocated
+        states = [_batch_norm_state(state, config.d_model, f"bn_states[{idx}]")
+                  for idx, state in enumerate(data["bn_states"])]
         model = cls.__new__(cls)
-        model._build(ModelConfig(**config), engine.ParameterInit(None))
-        if len(data["bn_states"]) != len(model.layers):
-            raise ValueError(
-                f"checkpoint has {len(data['bn_states'])} batch-norm states for {len(model.layers)} layers"
-            )
-        engine.load_parameter_values(model.parameters(), data["params"])
-        for idx, (layer, state) in enumerate(zip(model.layers, data["bn_states"])):
-            layer.bn_state = BatchNormState.from_dict(state, f"bn_states[{idx}]")
+        model._build(config, engine.ParameterInit(None))
+        params = model.parameters()
+        missing, extra = set(params) - set(data["params"]), set(data["params"]) - set(params)
+        if missing or extra:
+            raise ValueError(f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        for name, entry in data["params"].items():
+            params[name].values = _decode(entry, params[name].shape, name)
+        for layer, state in zip(model.layers, states):
+            layer.bn_state = state
         return model
+
+
+# --- checkpoint format ----------------------------------------------------------
+
+# version 1 had no format_version field and stored arrays as decimal lists
+CHECKPOINT_VERSION = 2
+_BN_KEYS = ("running_mean", "running_var", "momentum", "num_batches")
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "object": (dict,)}
+
+
+def _encode(values: np.ndarray) -> dict:
+    """{shape, base64 of the row-major little-endian f8 bytes}; every bit
+    survives JSON, and writing or parsing it is far cheaper than decimals."""
+    data = base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+    return {"shape": list(values.shape), "data": data}
+
+
+def _checked(value, kind: str, name: str):
+    """``value`` if it is a JSON ``kind`` (a key of ``_JSON_TYPES``; a bool
+    is no number, and a "float" comes back as a float), else ValueError
+    naming the checkpoint entry."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"checkpoint entry {name}: expected {kind}, got {type(value).__name__}")
+    try:
+        return float(value) if kind == "float" else value
+    except OverflowError as err:  # an int beyond the float range
+        raise ValueError(f"checkpoint entry {name}: {err}") from None
+
+
+def _batch_norm_state(state, d_model: int, name: str) -> BatchNormState:
+    missing = [key for key in _BN_KEYS if key not in state] if isinstance(state, dict) else list(_BN_KEYS)
+    if missing:
+        raise ValueError(f"checkpoint entry {name}: missing {missing}")
+    mean, var = (_decode(state[key], (d_model,), f"{name}.{key}", bare_list=True) for key in _BN_KEYS[:2])
+    return BatchNormState(mean, var, _checked(state["momentum"], "float", f"{name}.momentum"),
+                          _checked(state["num_batches"], "int", f"{name}.num_batches"))
+
+
+def _decode(entry, shape: tuple[int, ...], name: str, bare_list: bool = False) -> np.ndarray:
+    """Inverse of ``_encode`` for an array the model built with ``shape``, or of
+    version 1's row-major decimal ``{shape, values}`` (bare lists, for the
+    ``bare_list`` statistics).  Raises ValueError naming ``name``."""
+    try:
+        if bare_list and isinstance(entry, list):
+            values = np.asarray(entry, dtype=float)
+        elif not isinstance(entry, dict) or "shape" not in entry or not {"data", "values"} & set(entry):
+            raise ValueError("need 'shape' and 'data'")
+        elif not isinstance(entry["shape"], list) or not all(type(n) is int and n >= 0 for n in entry["shape"]):
+            raise ValueError(f"shape {entry['shape']!r} is not a list of sizes")  # a bool is no size
+        elif "values" in entry:
+            values = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
+        else:
+            try:
+                raw = base64.b64decode(entry["data"], validate=True)
+            except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+                raise ValueError(f"data is not base64 ({err})") from None
+            needs = 8 * math.prod(entry["shape"])
+            if len(raw) != needs:
+                raise ValueError(f"{len(raw)} bytes of data for shape {entry['shape']}, which needs {needs}")
+            values = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).astype(float)
+        if values.shape != shape:
+            raise ValueError(f"shape {list(values.shape)} where the model has {list(shape)}")
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"checkpoint entry {name}: {err}") from None
+    return values

@@ -35,20 +35,18 @@ def lattice_from_parameters(a: float, b: float, c: float,
     )
 
 
-def random_lattice(rng: np.random.Generator,
-                   lengths: tuple[float, float] = (2.0, 8.0),
-                   angles: tuple[float, float] = (60.0, 120.0),
-                   min_volume_factor: float = 0.1) -> np.ndarray:
-    """Random triclinic lattice; degenerate angle combinations are resampled."""
+def random_lattice(rng: np.random.Generator, lengths: tuple[float, float] = (2.0, 8.0)) -> np.ndarray:
+    """Random triclinic lattice; degenerate angle combinations, and cells
+    under a tenth of the volume a*b*c, are resampled."""
     while True:
         a, b, c = rng.uniform(*lengths, 3)
-        al, be, ga = rng.uniform(*angles, 3)
+        al, be, ga = rng.uniform(60.0, 120.0, 3)
         try:
             lattice = lattice_from_parameters(a, b, c, al, be, ga)
         except ValueError:
             continue
         vol = abs(np.linalg.det(lattice))
-        if vol >= min_volume_factor * a * b * c:
+        if vol >= 0.1 * a * b * c:
             return lattice
 
 
@@ -62,18 +60,16 @@ def min_image_distance(crystal: Crystal) -> float:
 
 def random_crystal(rng: np.random.Generator,
                    n_atoms: int | None = None,
-                   species: tuple[int, ...] = (1, 3, 6, 8, 14, 26),
-                   lengths: tuple[float, float] = (2.0, 8.0),
-                   angles: tuple[float, float] = (60.0, 120.0),
-                   min_separation: float = 0.7) -> Crystal:
-    """Random valid crystal with atoms at least ``min_separation`` A apart."""
+                   lengths: tuple[float, float] = (2.0, 8.0)) -> Crystal:
+    """Random valid crystal of species H, Li, C, O, Si and Fe with atom
+    images at least 0.7 A apart."""
     while True:
-        lattice = random_lattice(rng, lengths=lengths, angles=angles)
+        lattice = random_lattice(rng, lengths=lengths)
         n = n_atoms if n_atoms is not None else int(rng.integers(1, 7))
         for _ in range(20):
             frac = rng.random((n, 3))
-            crystal = crystal_from_frac(rng.choice(species, n), frac, lattice)
-            if min_image_distance(crystal) >= min_separation:
+            crystal = crystal_from_frac(rng.choice((1, 3, 6, 8, 14, 26), n), frac, lattice)
+            if min_image_distance(crystal) >= 0.7:
                 return crystal
 
 
@@ -91,10 +87,10 @@ TARGET_FUNCTIONS = {
 }
 
 
-def random_corpus(n_crystals: int, seed: int, n_atoms_max: int = 6, **kwargs) -> list[Crystal]:
+def random_corpus(n_crystals: int, seed: int, n_atoms_max: int = 6) -> list[Crystal]:
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_crystals):
         n = int(rng.integers(1, n_atoms_max + 1))
-        out.append(random_crystal(rng, n_atoms=n, **kwargs))
+        out.append(random_crystal(rng, n_atoms=n))
     return out

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .engine import BatchNormState, Tensor
+from .engine import Tensor
 from .featurize import PreparedGraph, batch_prepared
 from .model import Matformer
 
@@ -51,12 +51,10 @@ def adam_step(
     state: AdamState,
     lr: float,
     grads: dict[str, np.ndarray],
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     weight_decay: float = 1e-5,
 ) -> None:
-    """One bias-corrected Adam update, in place, with one gradient in
-    ``grads`` per name in ``params``.
+    """One bias-corrected Adam update (betas 0.9 and 0.999, eps 1e-8), in
+    place, with one gradient in ``grads`` per name in ``params``.
 
     Weight decay is decoupled: ``w <- w - lr*wd*w`` before the Adam delta.
     A step with any non-finite gradient is rejected wholesale.
@@ -64,7 +62,7 @@ def adam_step(
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -91,17 +89,17 @@ def adam_step(
         p.values -= step
 
 
-def one_cycle_lr(step: int, total_steps: int, lr_max: float,
-                 pct_start: float = 0.3, div: float = 25.0, final_div: float = 1e4) -> float:
-    """Cosine warmup from lr_max/div to lr_max, cosine decay to lr_max/final_div."""
+def one_cycle_lr(step: int, total_steps: int, lr_max: float) -> float:
+    """Cosine warmup over the first 30% of the steps from lr_max/25 to lr_max,
+    then cosine decay to lr_max/1e4."""
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    ramp = pct_start * total_steps
+    ramp = 0.3 * total_steps
     if step <= ramp:
-        start = lr_max / div
+        start = lr_max / 25.0
         frac = step / ramp if ramp > 0 else 1.0
         return start + (lr_max - start) * (1.0 - math.cos(math.pi * frac)) / 2.0
-    end = lr_max / final_div
+    end = lr_max / 1e4
     frac = (step - ramp) / (total_steps - ramp)
     return end + (lr_max - end) * (1.0 + math.cos(math.pi * frac)) / 2.0
 
@@ -152,30 +150,12 @@ def _take_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return grads
 
 
-def _copy_weights(model: Matformer) -> tuple[dict[str, np.ndarray], list[BatchNormState]]:
-    """Copies of the model's parameter values and batch-norm states."""
-    return ({k: p.values.copy() for k, p in model.parameters().items()},
-            [copy.deepcopy(layer.bn_state) for layer in model.layers])
-
-
-def _swap_weights(model: Matformer, weights: tuple[dict[str, np.ndarray], list[BatchNormState]]):
-    """Install ``weights`` in the model and return the ones it held."""
-    values, states = weights
-    held = ({}, [])
-    for k, p in model.parameters().items():
-        held[0][k], p.values = p.values, values[k]
-    for layer, state in zip(model.layers, states):
-        held[1].append(layer.bn_state)
-        layer.bn_state = state
-    return held
-
-
-def evaluate(model: Matformer, prepared: list[PreparedGraph], chunk: int = 64) -> np.ndarray:
-    """Eval-mode predictions for a list of prepared graphs, computed without a tape."""
+def evaluate(model: Matformer, prepared: list[PreparedGraph]) -> np.ndarray:
+    """Eval-mode predictions for prepared graphs, 64 per batch, computed without a tape."""
     preds = []
     with engine.no_grad():
-        for lo in range(0, len(prepared), chunk):
-            batch = batch_prepared(prepared[lo : lo + chunk])
+        for lo in range(0, len(prepared), 64):
+            batch = batch_prepared(prepared[lo : lo + 64])
             preds.append(model.forward(batch, training=False).values[:, 0])
     return np.concatenate(preds)
 
@@ -190,11 +170,11 @@ def train(
 
     Records carry ``.crystal`` and ``.target``.  Targets are standardized on
     the training split (metrics are reported in original units).  The best
-    checkpoint by validation MAE is retained; the model itself ends with the
-    last epoch's weights and no parameter holds a ``.grad``: each step's
-    gradients are freed once Adam has applied them.  A trailing minibatch of
-    a single one-atom crystal is trained together with the batch before it
-    (see ``_epoch_batches``).
+    checkpoint by validation MAE is retained, from one copy of the model per
+    improving epoch; the model itself ends with the last epoch's weights and
+    no parameter holds a ``.grad``: each step's gradients are freed once Adam
+    has applied them.  A trailing minibatch of a single one-atom crystal is
+    trained together with the batch before it (see ``_epoch_batches``).
     Fully deterministic for a fixed config seed and model.
     """
     if not val_records:
@@ -227,8 +207,8 @@ def train(
 
     log: list[dict] = []
     best_val = math.inf
-    best_weights = _copy_weights(model)
     model.zero_grad()  # backward accumulates; each step's _take_grads leaves no .grad behind
+    best = copy.deepcopy(model)
 
     for epoch in range(config.epochs):
         order = rng.permutation(n_train)
@@ -269,10 +249,8 @@ def train(
         log.append(row)
         if val_mae < best_val:
             best_val = val_mae
-            best_weights = _copy_weights(model)
+            best = copy.deepcopy(model)
 
-    last_weights = _swap_weights(model, best_weights)
-    best_checkpoint = model.to_checkpoint()
-    _swap_weights(model, last_weights)
+    best_checkpoint = best.to_checkpoint()
     best_checkpoint["target_scale"] = {"mean": t_mean, "std": t_std}
     return TrainResult(log=log, best_checkpoint=best_checkpoint, best_val_mae=best_val)

@@ -252,6 +252,30 @@ class TestPredictCheckpoint:
         assert len(rows) == 3 and all(np.isfinite(float(row.split(",")[1])) for row in rows)
 
 
+class TestPredictBatchNormShape:
+    @pytest.mark.parametrize("value, message", [
+        ({"shape": [3], "data": "AAAAAAAA4D8AAAAAAADgPwAAAAAAAOA/"}, "shape [3] where the model has [4]"),
+        ({"shape": [], "data": "AAAAAAAA4D8="}, "shape [] where the model has [4]"),
+        ({"shape": [1, 4], "data": "AAAAAAAA4D8AAAAAAADgPwAAAAAAAOA/AAAAAAAA4D8="},
+         "shape [1, 4] where the model has [4]"),
+        ([0.5, 0.5, 0.5], "shape [3] where the model has [4]"),
+        # the byte count is checked against the stored shape first
+        ({"shape": [9], "data": "AAAAAAAA4D8AAAAAAADgPwAAAAAAAOA/AAAAAAAA4D8="},
+         "32 bytes of data for shape [9], which needs 72"),
+    ], ids=["length-3", "0-d", "row", "v1-length-3", "short-data"])
+    def test_wrong_statistic_shape_exits_two_with_one_line(self, corpus_dir, tmp_path, capsys, value, message):
+        data = Matformer(ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4),
+                         seed=3).to_checkpoint()
+        data["bn_states"][0]["running_mean"] = value
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as err:
+            main(["predict", "--checkpoint", str(path), "--data", corpus_dir])
+        stderr = capsys.readouterr().err
+        assert err.value.code == 2
+        assert stderr == f"cannot load checkpoint {path}: checkpoint entry bn_states[0].running_mean: {message}\n"
+
+
 class TestRunConfig:
     TINY = ("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
             "model.readout_hidden=4\ntrain.epochs=1\ntrain.batch_size=4\n")
@@ -351,6 +375,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["analyze", "line-graph-size"])
         assert err.value.code == 2
+
+    def test_audit_takes_no_method(self, cube_file, capsys):
+        # audit builds the construction --builder names
+        with pytest.raises(SystemExit) as err:
+            main(["audit", cube_file, "--method", "tfc"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --method tfc" in capsys.readouterr().err
 
     def test_train_without_data_errors(self):
         with pytest.raises(SystemExit):

@@ -16,6 +16,7 @@ from matformer.engine import (
     segment_mean,
     segment_softmax,
 )
+from matformer.model import Matformer, ModelConfig
 from oracles import (
     composed_gated_pair_matmul,
     composed_pair_product,
@@ -624,24 +625,24 @@ class TestBatchNorm:
 
 
 class TestCheckpoint:
+    CONFIG = ModelConfig(n_layers=1, n_heads=1, d_model=3, rbf_kernels=4, readout_hidden=7)
+
     def test_exact_round_trip(self):
-        params = {
-            "w": Tensor(RNG.standard_normal((3, 7)) * 1e3, requires_grad=True),
-            "b": Tensor(RNG.standard_normal(5) * 1e-7, requires_grad=True),
-        }
-        text = json.dumps(engine.parameters_to_dict(params))
-        loaded = {name: Tensor(np.zeros_like(p.values)) for name, p in params.items()}
-        engine.load_parameter_values(loaded, json.loads(text))
+        model = Matformer(self.CONFIG, seed=0)
+        model.readout_w1.values = RNG.standard_normal((3, 7)) * 1e3
+        model.readout_b1.values = RNG.standard_normal(7) * 1e-7
+        params = model.parameters()
+        text = json.dumps(model.to_checkpoint())
+        loaded = Matformer.from_checkpoint(json.loads(text)).parameters()
         for name in params:
             assert np.array_equal(params[name].values, loaded[name].values)
         # a second JSON round-trip keeps every f64 bit
-        again = {name: Tensor(np.zeros_like(p.values)) for name, p in params.items()}
-        engine.load_parameter_values(again, json.loads(json.dumps(json.loads(text))))
+        again = Matformer.from_checkpoint(json.loads(json.dumps(json.loads(text)))).parameters()
         for name in params:
             assert np.array_equal(params[name].values, again[name].values)
 
     def test_strict_loading(self):
-        params = {"w": Tensor(np.zeros((2, 2)), requires_grad=True)}
-        data = engine.parameters_to_dict({"other": Tensor(np.zeros((2, 2)))})
+        data = Matformer(self.CONFIG, seed=0).to_checkpoint()
+        data["params"] = {"other": data["params"]["readout.b2"]}
         with pytest.raises(ValueError, match="mismatch"):
-            engine.load_parameter_values(params, data)
+            Matformer.from_checkpoint(data)

@@ -49,6 +49,24 @@ Direct
 """
 
 
+@st.composite
+def _edited_poscars(draw):
+    """The rock-salt POSCAR with some lines replaced by text over the
+    characters its fields use or by a few of its tokens, then perhaps cut
+    or extended."""
+    lines = TWO_SPECIES_POSCAR.splitlines()
+    tokens = ["0", "1", "2", "-1", "0.5", "1e308", "nan", "inf", "H", "Na", "Cl", "Direct", "Cartesian", "S"]
+    field = (st.text(alphabet="0123456789 .-+eEinfaNHCl\tDdCcKkSs", max_size=24)
+             | st.lists(st.sampled_from(tokens), max_size=4).map(" ".join))
+    for idx in draw(st.sets(st.integers(0, len(lines) - 1), max_size=3)):
+        lines[idx] = draw(field)
+    kept = draw(st.just(len(lines)) | st.integers(0, len(lines)))
+    return "\n".join(lines[:kept] + draw(st.lists(field, max_size=3)))
+
+
+POSCAR_TEXT = st.text() | _edited_poscars()
+
+
 class TestParsePoscar:
     def test_minimal_cube(self):
         c = io.parse_poscar(MINIMAL_POSCAR)
@@ -117,6 +135,15 @@ class TestParsePoscar:
         text = MINIMAL_POSCAR.replace("0.0 0.0 0.0", "1.25 -0.25 0.5")
         c = io.parse_poscar(text)
         assert np.allclose(wrap_fractional(c.frac_coords)[0], [0.25, 0.75, 0.5])
+
+    @settings(max_examples=400, deadline=None)
+    @given(POSCAR_TEXT)
+    def test_any_text_gives_a_crystal_or_value_error(self, text):
+        try:
+            crystal = io.parse_poscar(text)
+        except ValueError:
+            return
+        assert isinstance(crystal, Crystal)
 
 
 class TestCrystalJson:

@@ -21,6 +21,7 @@ from matformer.synthetic import random_corpus, random_crystal
 from oracles import composed_aggregate_messages, finite_difference_gradients, max_relative_error
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import CONFIG as GOLDEN_CONFIG
+from test_io import JSON_VALUES
 
 SMALL = ModelConfig(n_layers=2, n_heads=2, d_model=8, rbf_kernels=8, readout_hidden=8)
 COMPACT = ModelConfig(n_layers=2, n_heads=2, d_model=16, rbf_kernels=16)
@@ -387,7 +388,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         clone = Matformer.from_checkpoint(data)
-        assert engine.parameters_to_dict(clone.parameters()) == data["params"]
+        assert clone.to_checkpoint()["params"] == data["params"]
 
     @pytest.mark.parametrize("change", [-1, 1])
     def test_wrong_bn_state_count_rejected(self, change):
@@ -500,6 +501,101 @@ class TestCheckpointFormat:
     def test_an_int_where_a_float_is_read_loads(self):
         text = json.dumps(Matformer(SMALL, seed=6).to_checkpoint()).replace('"rbf_hi": 8.0', '"rbf_hi": 8')
         assert '"rbf_hi": 8,' in text and Matformer.from_checkpoint(json.loads(text)).config.rbf_hi == 8
+
+
+COMPACT_CHECKPOINT = ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4)
+
+
+def encoded(values):
+    """A version 2 ``{shape, data}`` array entry."""
+    values = np.asarray(values, dtype=float)
+    return {"shape": list(values.shape), "data": base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")}
+
+
+class TestBatchNormShapes:
+    """A running statistic loads only as the (d_model,) array the model builds."""
+
+    @pytest.mark.parametrize("key", ["running_mean", "running_var"])
+    @pytest.mark.parametrize("value", [
+        encoded(np.full(3, 0.5)), encoded(np.array(0.5)), encoded(np.full((1, 4), 0.5)),
+        [0.5, 0.5, 0.5], [[0.5, 0.5, 0.5, 0.5]],
+    ], ids=["length-3", "0-d", "row", "v1-length-3", "v1-row"])
+    def test_wrong_shape_is_named(self, key, value):
+        data = Matformer(COMPACT_CHECKPOINT, seed=3).to_checkpoint()
+        data["bn_states"][0][key] = value
+        message = rf"^checkpoint entry bn_states\[0\]\.{key}: shape \[.*\] where the model has \[4\]$"
+        with pytest.raises(ValueError, match=message):
+            Matformer.from_checkpoint(data)
+
+    @pytest.mark.parametrize("key, message", [
+        ("n_heads", "checkpoint has 32 parameters for 1000000000000 attention heads"),
+        ("d_model", "checkpoint entry bn_states[0].running_mean: shape [4] where the model has [1000000000000]"),
+        ("rbf_kernels", "checkpoint entry embed.edge.w1: shape [4, 4] where the model has [1000000000000, 4]"),
+        ("readout_hidden", "checkpoint entry readout.w1: shape [4, 4] where the model has [4, 1000000000000]"),
+    ])
+    def test_a_declared_size_is_checked_before_it_is_allocated(self, key, message):
+        data = Matformer(COMPACT_CHECKPOINT, seed=3).to_checkpoint()
+        data["config"][key] = 10**12
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Matformer.from_checkpoint(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_an_int_beyond_the_float_range_is_named(self):
+        data = Matformer(COMPACT_CHECKPOINT, seed=3).to_checkpoint()
+        data["bn_states"][0]["momentum"] = 10**400
+        with pytest.raises(ValueError, match=r"^checkpoint entry bn_states\[0\]\.momentum: int too large"):
+            Matformer.from_checkpoint(data)
+
+
+def _checkpoint_paths(data):
+    """Key paths to every field of a checkpoint the fuzz below replaces."""
+    paths = [(), ("config", "dropout")]
+    paths += [(key,) for key in data]
+    paths += [("config", key) for key in data["config"]]
+    paths += [("params", name) for name in data["params"]]
+    paths += [("params", "readout.w1", key) for key in ("shape", "data")]
+    paths += [("bn_states", 0)] + [("bn_states", 0, key) for key in data["bn_states"][0]]
+    paths += [("bn_states", 0, "running_var", key) for key in ("shape", "data")]
+    return paths + [("target_scale", key) for key in data["target_scale"]]
+
+
+FUZZ_CHECKPOINT = {**Matformer(COMPACT_CHECKPOINT, seed=3).to_checkpoint(), "target_scale": {"mean": 1.5, "std": 2.0}}
+# recursive JSON values, array entries with any small shape and base64 of any
+# few bytes, and bare lists of floats
+ARRAY_ENTRIES = st.fixed_dictionaries(
+    {"shape": st.lists(st.integers(-1, 5), max_size=3)},
+    optional={"data": st.binary(max_size=48).map(lambda raw: base64.b64encode(raw).decode("ascii")) | JSON_VALUES,
+              "values": JSON_VALUES | st.lists(st.floats(), max_size=6)},
+)
+CHECKPOINT_VALUES = JSON_VALUES | ARRAY_ENTRIES | st.lists(st.floats(), max_size=6)
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(_checkpoint_paths(FUZZ_CHECKPOINT)), CHECKPOINT_VALUES)
+    def test_any_json_value_gives_a_model_of_built_shapes_or_value_error(self, path, value):
+        data = json.loads(json.dumps(FUZZ_CHECKPOINT))
+        if path:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            data = value
+        try:
+            model = Matformer.from_checkpoint(data)
+        except ValueError:
+            return
+        built = Matformer(model.config)
+        for (name, p), q in zip(model.parameters().items(), built.parameters().values()):
+            assert p.shape == q.shape and p.values.flags.writeable, name
+        for layer in model.layers:
+            assert layer.bn_state.running_mean.shape == layer.bn_state.running_var.shape == (model.config.d_model,)
 
 
 class TestInference:
