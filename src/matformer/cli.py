@@ -125,20 +125,21 @@ def cmd_featurize(args) -> int:
     embedding = GraphEmbedding(args.d_model, n_kernels=args.kernels, rng=rng)
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
-        try:
-            prepared = prepare_graph(build(crystal), n_kernels=embedding.n_kernels, lo=embedding.lo, hi=embedding.hi)
+        try:  # the embedding's RBF grid rejects its kernel count when it expands the distances
+            prepared = prepare_graph(build(crystal))
+            with engine.no_grad():
+                node_input, edge_input = embedding.node_input(prepared), embedding.edge_input(prepared)
         except ValueError as err:
             raise CannotRun(f"cannot featurize {name}: {err}") from None
-        with engine.no_grad():
-            payload = json.dumps(
-                {
-                    "id": name,
-                    "node_input": embedding.node_input(prepared).values.tolist(),
-                    "edge_input": embedding.edge_input(prepared).values.tolist(),
-                    "src": prepared.src.tolist(),
-                    "dst": prepared.dst.tolist(),
-                }
-            )
+        payload = json.dumps(
+            {
+                "id": name,
+                "node_input": node_input.values.tolist(),
+                "edge_input": edge_input.values.tolist(),
+                "src": prepared.src.tolist(),
+                "dst": prepared.dst.tolist(),
+            }
+        )
         if args.out:
             io.atomic_write(args.out, payload)
             print(f"{name}: features written to {args.out}")
@@ -223,7 +224,10 @@ def cmd_train(args) -> int:
             "best-checkpoint selection needs at least one: raise --val-fraction or add crystals"
         )
     model = Matformer(model_config, seed=train_config.seed)
-    result = training.train(model, train_recs, val_recs, train_config)
+    try:
+        result = training.train(model, train_recs, val_recs, train_config)
+    except training.TrainingDivergedError as err:
+        raise CannotRun(f"cannot train: {err}") from None
 
     os.makedirs(args.out_dir, exist_ok=True)
     io.atomic_write(os.path.join(args.out_dir, "log.csv"), io.write_training_log_csv(result.log))
@@ -231,7 +235,7 @@ def cmd_train(args) -> int:
         os.path.join(args.out_dir, "checkpoint.json"), json.dumps(result.best_checkpoint)
     )
     if test_recs:
-        best = Matformer.from_checkpoint(result.best_checkpoint)
+        best = result.best_model
         scale = result.best_checkpoint["target_scale"]
         prepared = [best.prepare(r.crystal) for r in test_recs]
         preds = training.evaluate(best, prepared) * scale["std"] + scale["mean"]

@@ -2,10 +2,10 @@
 
 Each atom reads the row of a learned (119, d) table at its atomic number,
 the same values as a one-hot vector over atomic number times that table;
-edge distances expand onto a grid of Gaussian radial basis kernels
-followed by a nonlinear layer and a linear layer.  Because edge features
-depend on the distance alone, every invariance of the graph construction
-carries over to the featurized graph.
+edge distances expand onto the embedding's own grid of Gaussian radial
+basis kernels, followed by a nonlinear layer and a linear layer.  Because
+edge features depend on the distance alone, every invariance of the graph
+construction carries over to the featurized graph.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ def rbf_expand(d, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0) -> np.
 
 @dataclass
 class PreparedGraph:
-    """Constant per-graph inputs: atomic numbers, RBF rows, edge index arrays.
+    """Constant per-graph inputs: atomic numbers, edge distances, edge index arrays.
 
     ``graph_ids`` maps each node to its graph so disjoint-union batches can
-    be pooled per graph.
+    be pooled per graph.  ``GraphEmbedding.edge_input`` expands the distances.
     """
 
     atomic_numbers: np.ndarray        # (n,)
-    edge_rbf: np.ndarray              # (E, n_kernels)
+    distance: np.ndarray              # (E,)
     src: np.ndarray                   # (E,)
     dst: np.ndarray                   # (E,)
     graph_ids: np.ndarray             # (n,)
@@ -61,11 +61,11 @@ class PreparedGraph:
         return self.src.size
 
 
-def prepare_graph(graph: CrystalGraph, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0) -> PreparedGraph:
+def prepare_graph(graph: CrystalGraph) -> PreparedGraph:
     edges = graph.edges
     return PreparedGraph(
         atomic_numbers=graph.node_atomic_numbers,
-        edge_rbf=rbf_expand(edges.distance, n_kernels=n_kernels, lo=lo, hi=hi),
+        distance=edges.distance,
         src=edges.src,
         dst=edges.dst,
         graph_ids=np.zeros(graph.n_nodes, dtype=int),
@@ -79,10 +79,10 @@ def batch_prepared(graphs: list[PreparedGraph]) -> PreparedGraph:
         raise ValueError("cannot batch zero graphs")
     node_offset = 0
     graph_offset = 0
-    z, rbf, src, dst, gids = [], [], [], [], []
+    z, dist, src, dst, gids = [], [], [], [], []
     for g in graphs:
         z.append(g.atomic_numbers)
-        rbf.append(g.edge_rbf)
+        dist.append(g.distance)
         src.append(g.src + node_offset)
         dst.append(g.dst + node_offset)
         gids.append(g.graph_ids + graph_offset)
@@ -90,7 +90,7 @@ def batch_prepared(graphs: list[PreparedGraph]) -> PreparedGraph:
         graph_offset += g.n_graphs
     return PreparedGraph(
         atomic_numbers=np.concatenate(z),
-        edge_rbf=np.concatenate(rbf, axis=0),
+        distance=np.concatenate(dist),
         src=np.concatenate(src),
         dst=np.concatenate(dst),
         graph_ids=np.concatenate(gids),
@@ -99,12 +99,12 @@ def batch_prepared(graphs: list[PreparedGraph]) -> PreparedGraph:
 
 
 class GraphEmbedding:
-    """Learned maps from atomic numbers and RBF rows to model width."""
+    """Learned maps from atomic numbers and edge distances to model width;
+    the RBF grid (``n_kernels`` centers from ``lo`` to ``hi``) is its own."""
 
     def __init__(self, d_model: int, n_kernels: int = 128, lo: float = 0.0, hi: float = 8.0,
                  activation: str = "silu", rng: np.random.Generator | engine.ParameterInit | None = None):
         init = engine.ParameterInit(rng or np.random.default_rng(0))
-        self.d_model = d_model
         self.n_kernels = n_kernels
         self.lo = lo
         self.hi = hi
@@ -132,5 +132,6 @@ class GraphEmbedding:
 
     def edge_input(self, prepared: PreparedGraph) -> Tensor:
         act = engine.ACTIVATIONS[self.activation]
-        h = act(engine.linear(Tensor(prepared.edge_rbf), self.edge_w1, self.edge_b1))
+        rbf = rbf_expand(prepared.distance, n_kernels=self.n_kernels, lo=self.lo, hi=self.hi)
+        h = act(engine.linear(Tensor(rbf), self.edge_w1, self.edge_b1))
         return engine.linear(h, self.edge_w2, self.edge_b2)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .crystal import Crystal, crystal_from_frac, wrap_fractional
+from .crystal import Crystal, cart_to_frac, crystal_from_frac
 from .graphs import KINDS, CrystalGraph
 
 ELEMENTS = (
@@ -72,19 +73,25 @@ def parse_poscar(text: str) -> Crystal:
             raise ParseError(len(lines), "unexpected end of file")
         return lines[idx]
 
-    def floats(idx: int, count: int) -> list[float]:
-        fields = get(idx).split()
+    def floats(idx: int, count: int, scale: float = 1.0) -> list[float]:
+        fields = get(idx).split()[:count]
         if len(fields) < count:
             raise ParseError(idx + 1, f"expected {count} numeric fields")
         try:
-            return [float(f) for f in fields[:count]]
+            values = [float(f) for f in fields]
         except ValueError as err:
             raise ParseError(idx + 1, f"non-numeric field: {err}") from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(idx + 1, f"non-finite field in {' '.join(fields)}")
+        values = [v * scale for v in values]  # the same bits as NumPy's product
+        if not all(map(math.isfinite, values)):
+            raise ParseError(idx + 1, f"{' '.join(fields)} times the scale factor {scale!r} overflows")
+        return values
 
     (scale,) = floats(1, 1)
     if scale <= 0:
         raise ParseError(2, "scale factor must be positive (volume convention unsupported)")
-    lattice = np.array([floats(2 + i, 3) for i in range(3)]) * scale
+    lattice = np.array([floats(2 + i, 3, scale) for i in range(3)])
 
     species_fields = get(5).split()
     if not species_fields or any(f[0].isdigit() for f in species_fields):
@@ -117,15 +124,13 @@ def parse_poscar(text: str) -> Crystal:
         raise ParseError(8, f"unrecognized coordinate mode {mode_line!r}")
 
     n = sum(counts)
-    coords = np.array([floats(8 + i, 3) for i in range(n)])
-    atomic_numbers = np.repeat(numbers, counts)
-
-    if cartesian:
-        cart = coords * scale
-        frac = cart @ np.linalg.inv(lattice)
-    else:
-        frac = coords
-    return crystal_from_frac(atomic_numbers, wrap_fractional(frac), lattice)
+    coords = np.array([floats(8 + i, 3, scale if cartesian else 1.0) for i in range(n)])
+    try:  # every field is finite, but a huge or near-singular cell can still overflow
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            frac = cart_to_frac(coords, lattice) if cartesian else coords
+            return crystal_from_frac(np.repeat(numbers, counts), frac, lattice)
+    except FloatingPointError as err:
+        raise ParseError(3, f"the lattice on lines 3-5 leaves the float range: {err}") from None
 
 
 def read_poscar(path: str) -> Crystal:

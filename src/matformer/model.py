@@ -210,8 +210,7 @@ class Matformer:
         return g
 
     def prepare(self, crystal: Crystal) -> PreparedGraph:
-        c = self.config
-        return prepare_graph(self.build_graph(crystal), n_kernels=c.rbf_kernels, lo=c.rbf_lo, hi=c.rbf_hi)
+        return prepare_graph(self.build_graph(crystal))
 
     def forward(self, prepared: PreparedGraph, training: bool = False) -> Tensor:
         """Predictions for each graph in the (possibly batched) input.

@@ -124,7 +124,8 @@ def ewt(preds, targets, threshold: float) -> float:
 @dataclass
 class TrainResult:
     log: list[dict]
-    best_checkpoint: dict
+    best_model: Matformer          # the weights of the best validation epoch
+    best_checkpoint: dict          # best_model.to_checkpoint() plus target_scale
     best_val_mae: float
 
 
@@ -170,12 +171,14 @@ def train(
 
     Records carry ``.crystal`` and ``.target``.  Targets are standardized on
     the training split (metrics are reported in original units).  The best
-    checkpoint by validation MAE is retained, from one copy of the model per
-    improving epoch; the model itself ends with the last epoch's weights and
-    no parameter holds a ``.grad``: each step's gradients are freed once Adam
-    has applied them.  A trailing minibatch of a single one-atom crystal is
-    trained together with the batch before it (see ``_epoch_batches``).
-    Fully deterministic for a fixed config seed and model.
+    model by validation MAE is returned with its checkpoint, from one copy of
+    the model per improving epoch; the model itself ends with the last
+    epoch's weights and no parameter holds a ``.grad``: each step's gradients
+    are freed once Adam has applied them.  A trailing minibatch of a single
+    one-atom crystal is trained together with the batch before it (see
+    ``_epoch_batches``).  A non-finite training or validation forward raises
+    ``TrainingDivergedError``, naming the epoch.  Fully deterministic for a
+    fixed config seed and model.
     """
     if not val_records:
         raise ValueError("the validation set is empty; best-checkpoint selection needs at least one crystal")
@@ -229,14 +232,14 @@ def train(
                 raise TrainingDivergedError(
                     f"non-finite forward at epoch {epoch} step {global_step}: {err}"
                 ) from err
-            loss_value = float(loss.values)
-            if not math.isfinite(loss_value):
-                raise TrainingDivergedError(f"loss diverged at epoch {epoch} step {global_step}")
             loss.backward()
             adam_step(params, state, lr, _take_grads(params), weight_decay=config.weight_decay)
-            epoch_losses.append(loss_value)
+            epoch_losses.append(float(loss.values))  # finite: the ops above check their outputs
 
-        val_preds = evaluate(model, val_graphs) * t_std + t_mean
+        try:
+            val_preds = evaluate(model, val_graphs) * t_std + t_mean
+        except FloatingPointError as err:
+            raise TrainingDivergedError(f"non-finite validation forward at epoch {epoch}: {err}") from err
         val_mae = mae(val_preds, val_targets)
         row = {
             "epoch": epoch,
@@ -253,4 +256,4 @@ def train(
 
     best_checkpoint = best.to_checkpoint()
     best_checkpoint["target_scale"] = {"mean": t_mean, "std": t_std}
-    return TrainResult(log=log, best_checkpoint=best_checkpoint, best_val_mae=best_val)
+    return TrainResult(log=log, best_model=best, best_checkpoint=best_checkpoint, best_val_mae=best_val)

@@ -355,7 +355,7 @@ def test_criterion_12_degree_sensitivity():
     prepared = model.prepare(crystal)
     base = model.forward(prepared).values[0, 0]
     dup = batch_prepared([prepared])
-    dup.edge_rbf = np.concatenate([prepared.edge_rbf, prepared.edge_rbf])
+    dup.distance = np.concatenate([prepared.distance, prepared.distance])
     dup.src = np.concatenate([prepared.src, prepared.src])
     dup.dst = np.concatenate([prepared.dst, prepared.dst])
     default_delta = abs(model.forward(dup).values[0, 0] - base)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from matformer import io
 from matformer.cli import main
 from matformer.model import Matformer, ModelConfig
 from matformer.synthetic import random_corpus
+from matformer.training import evaluate
 
 CUBE_POSCAR = """hydrogen cube
 1.0
@@ -190,6 +192,38 @@ class TestTrainPredict:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "id,prediction,target,abs_err"
         assert len(lines) == 2
+
+    def test_test_split_is_predicted_from_the_best_model_not_its_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
+                       "model.readout_hidden=4\ntrain.epochs=2\ntrain.batch_size=4\n")
+
+        def refuse(data):
+            raise AssertionError("train decoded the checkpoint it had just encoded")
+
+        monkeypatch.setattr(Matformer, "from_checkpoint", refuse)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--synthetic", "8", "--config", str(cfg), "--out-dir", str(run_dir),
+                     "--val-fraction", "0.25", "--test-fraction", "0.25"]) == 0
+        monkeypatch.undo()
+        # the predictions the written checkpoint gives, bit for bit
+        checkpoint = json.loads((run_dir / "checkpoint.json").read_text())
+        best, scale = Matformer.from_checkpoint(checkpoint), checkpoint["target_scale"]
+        crystals = {f"syn-{i:04d}": c for i, c in enumerate(random_corpus(8, seed=0))}  # train's --synthetic ids
+        rows = list(csv.DictReader((run_dir / "predictions.csv").read_text().splitlines()))
+        assert len(rows) == 2
+        want = evaluate(best, [best.prepare(crystals[row["id"]]) for row in rows]) * scale["std"] + scale["mean"]
+        assert [float(row["prediction"]) for row in rows] == want.tolist()
+
+    def test_diverging_training_exits_two_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
+                       "model.readout_hidden=4\ntrain.epochs=3\ntrain.batch_size=4\ntrain.lr_max=1e12\n")
+        with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as err:
+            main(["train", "--synthetic", "12", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+        assert err.value.code == 2
+        assert re.fullmatch(r"cannot train: non-finite forward at epoch \d+ step \d+: .*\n",
+                            capsys.readouterr().err)
 
     def test_predict_warns_when_target_scale_is_missing(self, corpus_dir, tmp_path, capsys):
         cfg = ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4)

@@ -4,8 +4,8 @@ import pytest
 from matformer import engine
 from matformer.crystal import crystal_from_frac, shift_boundary
 from matformer.featurize import GraphEmbedding, batch_prepared, prepare_graph, rbf_expand
-from matformer.graphs import build_radius_graph
-from matformer.synthetic import random_crystal
+from matformer.graphs import add_self_connecting_edges, build_radius_graph, build_t_fully_connected
+from matformer.synthetic import random_corpus, random_crystal
 
 from oracles import one_hot_atoms
 
@@ -18,7 +18,7 @@ def cubic(a=1.0, fracs=((0, 0, 0),), zs=None):
 
 def embed(graph, emb):
     """Node and edge inputs of a graph under the embedding's weights."""
-    prepared = prepare_graph(graph, n_kernels=emb.n_kernels, lo=emb.lo, hi=emb.hi)
+    prepared = prepare_graph(graph)
     return emb.node_input(prepared).values, emb.edge_input(prepared).values
 
 
@@ -113,10 +113,36 @@ class TestFeaturizeGraph:
         assert np.isfinite(edge_input).all()
 
 
+def corpus_graphs():
+    """Radius, self-edge and t-fully-connected graphs of a few small crystals."""
+    out = []
+    for crystal in random_corpus(4, seed=11, n_atoms_max=3):
+        radius = build_radius_graph(crystal)
+        out += [radius, add_self_connecting_edges(radius, crystal), build_t_fully_connected(crystal, t=2)]
+    return out
+
+
+class TestEdgeGrid:
+    """The embedding owns the RBF grid; prepared graphs carry bare distances."""
+
+    def test_any_grid_embeds_any_prepared_graph(self):
+        emb = GraphEmbedding(d_model=8, n_kernels=8)
+        for graph in corpus_graphs():
+            edge_input = emb.edge_input(prepare_graph(graph)).values
+            assert edge_input.shape == (len(graph.edges), 8)
+            assert np.isfinite(edge_input).all()
+
+    def test_expanding_a_batch_stacks_the_per_graph_rows(self):
+        emb = GraphEmbedding(d_model=8, n_kernels=8, rng=np.random.default_rng(12))
+        prepared = [prepare_graph(g) for g in corpus_graphs()]
+        rows = [emb.edge_input(p).values for p in prepared]
+        assert np.array_equal(emb.edge_input(batch_prepared(prepared)).values, np.concatenate(rows))
+
+
 class TestBatching:
     def test_disjoint_union_offsets(self):
-        g1 = prepare_graph(build_radius_graph(cubic()), n_kernels=8)
-        g2 = prepare_graph(build_radius_graph(cubic(a=1.2)), n_kernels=8)
+        g1 = prepare_graph(build_radius_graph(cubic()))
+        g2 = prepare_graph(build_radius_graph(cubic(a=1.2)))
         batch = batch_prepared([g1, g2])
         assert batch.n_graphs == 2
         assert batch.n_nodes == 2
@@ -134,7 +160,7 @@ class TestAtomLookup:
     def batch(self):
         species = (([8, 1, 1], [[0, 0, 0], [0.3, 0, 0], [0, 0.6, 0]]), ([26, 8], [[0, 0, 0], [0.5, 0.5, 0.5]]))
         graphs = [build_radius_graph(crystal_from_frac(zs, fracs, 3.0 * np.eye(3))) for zs, fracs in species]
-        return batch_prepared([prepare_graph(g, n_kernels=8) for g in graphs])
+        return batch_prepared([prepare_graph(g) for g in graphs])
 
     def test_rows_equal_one_hot_product(self):
         batch = self.batch()

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matformer import io
@@ -136,8 +136,34 @@ class TestParsePoscar:
         c = io.parse_poscar(text)
         assert np.allclose(wrap_fractional(c.frac_coords)[0], [0.25, 0.75, 0.5])
 
+    def test_non_finite_field_is_rejected_naming_its_line(self):
+        for idx, line in ((1, "nan"), (3, "0.0 inf 0.0"), (8, "0.0 0.0 -inf")):
+            lines = MINIMAL_POSCAR.splitlines()
+            lines[idx] = line
+            with pytest.raises(io.ParseError, match=rf"^line {idx + 1}: non-finite field"):
+                io.parse_poscar("\n".join(lines))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_once_scaled_is_rejected_naming_its_line(self):
+        lines = TWO_SPECIES_POSCAR.splitlines()  # scale 2.0
+        lines[2] = "1e308 0.0 0.0"
+        with pytest.raises(io.ParseError, match=r"^line 3: 1e308 0\.0 0\.0 times the scale factor 2\.0 overflows"):
+            io.parse_poscar("\n".join(lines))
+        lines = TWO_SPECIES_POSCAR.splitlines()
+        lines[7:10] = ["Cartesian", "0.0 0.0 0.0", "0.5 1e308 0.5"]
+        with pytest.raises(io.ParseError, match=r"^line 10: .* overflows"):
+            io.parse_poscar("\n".join(lines))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cell_out_of_float_range_is_rejected_naming_the_lattice(self):
+        huge = MINIMAL_POSCAR.replace("1.0 0.0 0.0\n0.0 1.0 0.0\n0.0 0.0 1.0", "1e200 0 0\n0 1e200 0\n0 0 1e200")
+        with pytest.raises(io.ParseError, match=r"^line 3: the lattice on lines 3-5 leaves the float range"):
+            io.parse_poscar(huge)
+
     @settings(max_examples=400, deadline=None)
     @given(POSCAR_TEXT)
+    @example(TWO_SPECIES_POSCAR.replace("1.0 0.0 0.0", "1e308 0.0 0.0"))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_any_text_gives_a_crystal_or_value_error(self, text):
         try:
             crystal = io.parse_poscar(text)

@@ -197,7 +197,7 @@ class TestDegreeSensitivity:
         model, prepared = self._setup("sigmoid_norm")
         base = model.forward(prepared).values[0, 0]
         dup = batch_prepared([prepared])
-        dup.edge_rbf = np.concatenate([prepared.edge_rbf, prepared.edge_rbf])
+        dup.distance = np.concatenate([prepared.distance, prepared.distance])
         dup.src = np.concatenate([prepared.src, prepared.src])
         dup.dst = np.concatenate([prepared.dst, prepared.dst])
         doubled = model.forward(dup).values[0, 0]

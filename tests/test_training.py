@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matformer import engine, training
+from matformer.crystal import crystal_from_frac
 from matformer.engine import Tensor
 from matformer.featurize import batch_prepared
 from matformer.io import DatasetRecord
@@ -154,6 +155,17 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError, match="epoch 0 .*produced by matmul"):
             train(model, records, records, config)
 
+    def test_non_finite_validation_forward_names_the_epoch(self):
+        # a val-only species whose embedding row overflows: the training forward never reads it
+        cubes = [crystal_from_frac([z], [[0, 0, 0]], a * np.eye(3)) for z, a in ((1, 1.0), (1, 1.3), (8, 1.1))]
+        records = [DatasetRecord(id=f"c{i}", crystal=c, target=float(i)) for i, c in enumerate(cubes)]
+        model = Matformer(TINY_MODEL, seed=0)
+        model.embedding.node_w.values[8] = 1e308
+        config = TrainConfig(lr_max=1e-3, epochs=1, batch_size=2, seed=0)
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                TrainingDivergedError, match="^non-finite validation forward at epoch 0: non-finite values produced by"):
+            train(model, records[:2], records[2:], config)
+
     def test_best_checkpoint_tracks_val(self):
         records = make_records(6, seed=4)
         model = Matformer(TINY_MODEL, seed=1)
@@ -251,7 +263,7 @@ class TestBestCheckpoint:
         result = train(model, records, records, TrainConfig(epochs=1, batch_size=2, seed=0))
         best = dict(result.best_checkpoint)
         assert best.pop("target_scale")
-        assert best == model.to_checkpoint()
+        assert best == model.to_checkpoint() == result.best_model.to_checkpoint()
 
     def test_checkpoint_holds_best_epoch_and_model_holds_last(self):
         records = make_records(6, seed=4)
@@ -267,6 +279,7 @@ class TestBestCheckpoint:
             return mae(evaluate(m, graphs) * scale["std"] + scale["mean"], targets)
 
         assert val_mae(Matformer.from_checkpoint(result.best_checkpoint)) == result.best_val_mae
+        assert val_mae(result.best_model) == result.best_val_mae
         assert val_mae(model) == maes[-1]
 
 
