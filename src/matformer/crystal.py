@@ -43,6 +43,13 @@ def wrap_fractional(frac: np.ndarray) -> np.ndarray:
     return wrapped
 
 
+def cell_volume(lattice: np.ndarray) -> float:
+    """|det(lattice)|, computed without a RuntimeWarning: inf (or NaN) for a
+    cell whose volume leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(abs(np.linalg.det(np.asarray(lattice, dtype=float))))
+
+
 @dataclass(frozen=True)
 class LatticeImage:
     """Integer 3-tuple identifying a periodic copy of an atom."""
@@ -104,7 +111,10 @@ class Crystal:
             raise ValueError(f"lattice must be 3x3, got {lat.shape}")
         if not np.isfinite(p).all() or not np.isfinite(lat).all():
             raise ValueError("positions and lattice must be finite")
-        if abs(np.linalg.det(lat)) < 1e-12:
+        volume = cell_volume(lat)
+        if not np.isfinite(volume):
+            raise ValueError("lattice leaves the float range: the cell volume (its determinant) is not finite")
+        if volume < 1e-12:
             raise ValueError("lattice vectors must be linearly independent")
         for arr in (z, p, lat):
             arr.setflags(write=False)

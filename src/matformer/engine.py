@@ -11,7 +11,13 @@ Two pair ops form an attention head's per-edge features: ``pair_product``
 message and its projection).  Each builds the (E, 3d) edge rows
 ``[x_dst | x_src | e]`` from (n, d) node rows, and its backward rebuilds
 them instead of the tape keeping them, with the bits of the gathers,
-concatenations and products they replace.
+concatenations and products they replace.  ``sigmoid_norm_message`` is
+the whole head under the paper's gate: it runs ``pair_product``,
+``scale``, ``layer_norm``, ``sigmoid`` and ``gated_pair_matmul`` under
+``no_grad()``, keeps only their inputs, and its backward recomputes the
+coefficients, the layer norm's statistics and the gate in place before
+applying those ops' backward formulas through the helpers they share, so
+no (E, 3d) array stays on the tape.
 
 Inside ``with no_grad():`` ops record no tape, so the arrays a backward
 would read are freed as each op returns; outputs are still checked for
@@ -125,8 +131,9 @@ class _TapeEntry:
     """What backward needs of one op output: a gradient slot, the output's
     shape, the parents' entries (None for an input without gradient) and the
     backward closure.  The closure captured, at forward time, exactly the
-    arrays its formula reads, so an output no formula reads is freed as soon
-    as the forward code drops its Tensor."""
+    arrays its formula reads (``sigmoid_norm_message``'s, the inputs it
+    recomputes from), so an output no formula reads is freed as soon as the
+    forward code drops its Tensor."""
 
     __slots__ = ("grad", "shape", "parents", "backward_fn")
 
@@ -307,12 +314,21 @@ def concat(parts, axis: int = -1) -> Tensor:
     return _node(np.concatenate([p.values for p in parts], axis=axis), entries, bw, "concat")
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), computed in one buffer."""
-    s = np.negative(x, out=np.empty_like(x))
+def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed in one buffer: ``out`` (which may be
+    ``x``) or a new one."""
+    s = np.negative(x, out=np.empty_like(x) if out is None else out)
     np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
+
+
+def _sigmoid_grad(g: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The gradient g * s * (1 - s) of ``s = sigmoid(x)``, formed in ``out``
+    (which may be ``g``) or a new buffer."""
+    out = np.multiply(g, s, out=out)
+    out *= 1.0 - s
+    return out
 
 
 def sigmoid(a) -> Tensor:
@@ -321,7 +337,7 @@ def sigmoid(a) -> Tensor:
     s = _sigmoid_values(a.values)
 
     def bw(g):
-        ea.adopt(g * s * (1.0 - s))
+        ea.adopt(_sigmoid_grad(g, s))
 
     return _node(s, (ea,), bw, "sigmoid")
 
@@ -420,36 +436,54 @@ def segment_softmax(a, segments, num_segments: int) -> Tensor:
     return _node(s, (ea,), bw, "segment_softmax")
 
 
-def layer_norm(a, gain, bias) -> Tensor:
-    """Normalize over the last axis, then apply elementwise affine."""
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    ea, eg, eb = _grad_entry(a), _grad_entry(gain), _grad_entry(bias)
-    dim = a.values.shape[-1]
+def _normalize(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``layer_norm``'s ``xhat`` and ``inv``: ``x`` centered over its last
+    axis, times ``inv = 1 / sqrt(var + eps)``, with the centered values and
+    the variance exactly as ``np.var`` forms them.  ``xhat`` is formed in
+    ``out`` (which may be ``x``) or a new buffer."""
+    dim = x.shape[-1]
     if dim < 2:
         raise ValueError("layer_norm over a length-1 axis is undefined")
-    mean = a.values.mean(axis=-1, keepdims=True)
-    # the centered values and the variance exactly as ``np.var`` forms them
-    xhat = a.values - mean
+    mean = x.mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x, mean, out=out)
     var = np.square(xhat).sum(axis=-1, keepdims=True)
     var /= dim
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat *= inv
+    return xhat, inv
+
+
+def _layer_norm_backward(g, xhat, inv, gain, eg, eb, want_input: bool, out: np.ndarray | None = None):
+    """Pass ``layer_norm``'s gain and bias gradients to ``eg`` and ``eb``.  With
+    ``want_input``, return its input gradient (gh - mean(gh) - xhat *
+    mean(gh * xhat)) * inv, gh = g * gain, formed in ``out`` (which may be
+    ``g``) or a new buffer, plus one temporary."""
+    if eg is not None:
+        eg.adopt(_unbroadcast(g * xhat, eg.shape))
+    if eb is not None:
+        eb.accumulate(_unbroadcast(g, eb.shape))
+    if not want_input:
+        return None
+    gh = np.multiply(g, gain, out=out)
+    tmp = np.multiply(gh, xhat)
+    mean_gh_xhat = tmp.mean(axis=-1, keepdims=True)
+    gh -= gh.mean(axis=-1, keepdims=True)
+    gh -= np.multiply(xhat, mean_gh_xhat, out=tmp)
+    gh *= inv
+    return gh
+
+
+def layer_norm(a, gain, bias) -> Tensor:
+    """Normalize over the last axis, then apply elementwise affine."""
+    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
+    ea, eg, eb = _grad_entry(a), _grad_entry(gain), _grad_entry(bias)
+    xhat, inv = _normalize(a.values)
     gv = gain.values
 
     def bw(g):
-        if eg is not None:
-            eg.adopt(_unbroadcast(g * xhat, eg.shape))
-        if eb is not None:
-            eb.accumulate(_unbroadcast(g, eb.shape))
+        g_in = _layer_norm_backward(g, xhat, inv, gv, eg, eb, ea is not None)
         if ea is not None:
-            # (gh - mean(gh) - xhat * mean(gh * xhat)) * inv, in gh and one temporary
-            gh = g * gv
-            tmp = np.multiply(gh, xhat)
-            mean_gh_xhat = tmp.mean(axis=-1, keepdims=True)
-            gh -= gh.mean(axis=-1, keepdims=True)
-            gh -= np.multiply(xhat, mean_gh_xhat, out=tmp)
-            gh *= inv
-            ea.adopt(gh)
+            ea.adopt(g_in)
 
     out = xhat * gv
     out += bias.values
@@ -594,6 +628,26 @@ def _pair_rows_backward(ex, ee, g_pair: np.ndarray, src: np.ndarray, dst: np.nda
         ee.accumulate(g_pair[:, 2])
 
 
+def _pair_product_values(qv, kv, ev, src, dst) -> np.ndarray:
+    """``pair_product``'s (E, 3d) output, in one new buffer."""
+    n_edges, d = ev.shape
+    out = _pair_rows(kv, ev, src, dst)
+    out3 = out.reshape(n_edges, 3, d)
+    out3 *= np.take(qv, dst, axis=0)[:, None, :]
+    return out
+
+
+def _pair_product_backward(eq, ek, ee, g, qv, kv, ev, src, dst) -> None:
+    """Pass ``pair_product``'s gradients for an upstream (E, 3d) ``g`` to the
+    entries of ``q``, ``k`` and ``e`` (any may be None)."""
+    n_edges, d = ev.shape
+    g3 = g.reshape(n_edges, 3, d)
+    if eq is not None:
+        prod = g3 * _pair_rows(kv, ev, src, dst).reshape(n_edges, 3, d)
+        eq.adopt(_segment_sum_np(prod.sum(axis=1), dst, qv.shape[0]))
+    _pair_rows_backward(ek, ee, g3 * np.take(qv, dst, axis=0)[:, None, :], src, dst)
+
+
 def pair_product(q, k, e, src, dst) -> Tensor:
     """Per edge ``src -> dst``, ``(q_dst | q_dst | q_dst) o (k_dst | k_src | e)``, (E, 3d).
 
@@ -604,19 +658,27 @@ def pair_product(q, k, e, src, dst) -> Tensor:
     eq, ek, ee = _grad_entry(q), _grad_entry(k), _grad_entry(e)
     qv, kv, ev = q.values, k.values, e.values
     src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
-    n_edges, d = ev.shape
 
     def bw(g):
-        g3 = g.reshape(n_edges, 3, d)
-        if eq is not None:
-            prod = g3 * _pair_rows(kv, ev, src, dst).reshape(n_edges, 3, d)
-            eq.adopt(_segment_sum_np(prod.sum(axis=1), dst, qv.shape[0]))
-        _pair_rows_backward(ek, ee, g3 * np.take(qv, dst, axis=0)[:, None, :], src, dst)
+        _pair_product_backward(eq, ek, ee, g, qv, kv, ev, src, dst)
 
-    out = _pair_rows(kv, ev, src, dst)
-    out3 = out.reshape(n_edges, 3, d)
-    out3 *= np.take(qv, dst, axis=0)[:, None, :]
-    return _node(out, (eq, ek, ee), bw, "pair_product")
+    return _node(_pair_product_values(qv, kv, ev, src, dst), (eq, ek, ee), bw, "pair_product")
+
+
+def _gated_pair_backward(g, gate, vv, e_v, wv, src, dst, ev, ee, ew, want_gate: bool):
+    """Pass ``gated_pair_matmul``'s gradients for an upstream ``g`` to the
+    entries of ``v``, ``e`` and ``w`` (any may be None), rebuilding the pair
+    and the gated pair; with ``want_gate``, return the gate's gradient,
+    (E, 3d) before any reduction to the gate's shape."""
+    pair = _pair_rows(vv, e_v, src, dst)
+    g_prod = g @ wv.T
+    g_gate = g_prod * pair if want_gate else None
+    g_prod *= gate
+    _pair_rows_backward(ev, ee, g_prod.reshape(len(dst), 3, -1), src, dst)
+    if ew is not None:
+        pair *= gate
+        ew.adopt(pair.T @ g)
+    return g_gate
 
 
 def gated_pair_matmul(gate, v, e, src, dst, w) -> Tensor:
@@ -633,19 +695,60 @@ def gated_pair_matmul(gate, v, e, src, dst, w) -> Tensor:
     src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
 
     def bw(g):
-        pair = _pair_rows(vv, e_v, src, dst)
-        g_prod = g @ wv.T
+        g_gate = _gated_pair_backward(g, gv, vv, e_v, wv, src, dst, ev, ee, ew, eg is not None)
         if eg is not None:
-            eg.adopt(_unbroadcast(g_prod * pair, eg.shape))
-        g_prod *= gv
-        _pair_rows_backward(ev, ee, g_prod.reshape(len(dst), 3, -1), src, dst)
-        if ew is not None:
-            pair *= gv
-            ew.adopt(pair.T @ g)
+            eg.adopt(_unbroadcast(g_gate, eg.shape))
 
     prod = _pair_rows(vv, e_v, src, dst)
     prod *= gv
     return _node(prod @ wv, (eg, ev, ee, ew), bw, "gated_pair_matmul")
+
+
+def sigmoid_norm_message(q, k, v, e, gain, bias, w, src, dst) -> Tensor:
+    """An attention head's value message under the sigmoid-norm gate, (E, d_out):
+    ``gated_pair_matmul(sigmoid(layer_norm(scale(pair_product(q, k, e, src,
+    dst), 1/sqrt(3d)), gain, bias)), v, e, src, dst, w)``.
+
+    The forward runs exactly those ops under ``no_grad()``, so every value is
+    theirs.  The closure holds only the inputs and the indices: backward
+    recomputes alpha, the layer norm's ``xhat`` and ``inv`` and the gate, in
+    place, and applies the five ops' backward formulas through the helpers
+    they use, so the tape keeps no (E, 3d) array and every gradient has the
+    chain's bits.
+    """
+    q, k, v, e, gain, bias, w = (_as_tensor(t) for t in (q, k, v, e, gain, bias, w))
+    eq, ek, ev, ee, eg, eb, ew = entries = tuple(_grad_entry(t) for t in (q, k, v, e, gain, bias, w))
+    qv, kv, vv, e_v, gv, bv, wv = (t.values for t in (q, k, v, e, gain, bias, w))
+    src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+    width = 3 * e_v.shape[1]
+    if gv.shape != (width,) or bv.shape != (width,):
+        raise ValueError(f"sigmoid_norm_message needs a layer-norm gain and bias of shape ({width},), "
+                         f"got {gv.shape} and {bv.shape}")
+    c = 1.0 / math.sqrt(width)
+    with no_grad():
+        gate = sigmoid(layer_norm(scale(pair_product(q, k, e, src, dst), c), gain, bias))
+        out = gated_pair_matmul(gate, v, e, src, dst, w)
+    want_alpha = eq is not None or ek is not None or ee is not None
+    want_gate = want_alpha or eg is not None or eb is not None
+
+    def bw(g):
+        alpha = _pair_product_values(qv, kv, e_v, src, dst)
+        alpha *= c
+        xhat, inv = _normalize(alpha, out=alpha)
+        s = np.multiply(xhat, gv)
+        s += bv
+        s = _sigmoid_values(s, out=s)
+        g_gate = _gated_pair_backward(g, s, vv, e_v, wv, src, dst, ev, ee, ew, want_gate)
+        if not want_gate:
+            return
+        g_norm = _sigmoid_grad(g_gate, s, out=g_gate)
+        del s
+        g_alpha = _layer_norm_backward(g_norm, xhat, inv, gv, eg, eb, want_alpha, out=g_norm)
+        if want_alpha:
+            g_alpha *= c
+            _pair_product_backward(eq, ek, ee, g_alpha, qv, kv, e_v, src, dst)
+
+    return _node(out.values, entries, bw, "sigmoid_norm_message")
 
 
 def segment_mean(a, index, num_rows: int) -> Tensor:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .crystal import Crystal, cart_to_frac, crystal_from_frac
+from .crystal import Crystal, cart_to_frac, cell_volume, crystal_from_frac
 from .graphs import KINDS, CrystalGraph
 
 ELEMENTS = (
@@ -125,6 +125,8 @@ def parse_poscar(text: str) -> Crystal:
 
     n = sum(counts)
     coords = np.array([floats(8 + i, 3, scale if cartesian else 1.0) for i in range(n)])
+    if not np.isfinite(cell_volume(lattice)):
+        raise ParseError(3, "the lattice on lines 3-5 leaves the float range: its volume is not finite")
     try:  # every field is finite, but a huge or near-singular cell can still overflow
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             frac = cart_to_frac(coords, lattice) if cartesian else coords

@@ -60,27 +60,21 @@ class ModelConfig:
             raise ValueError("need rbf_kernels >= 2 and rbf_hi > rbf_lo")
 
 
-def attention_gate(alpha: Tensor, dst, n_nodes: int, variant: str,
-                   lnorm_gain: Tensor | None = None, lnorm_bias: Tensor | None = None) -> Tensor:
-    """Gate applied to the value message, per edge.
+def attention_gate(alpha: Tensor, dst, n_nodes: int, variant: str) -> Tensor:
+    """Gate applied to the value message, per edge, for the softmax variants.
 
-    sigmoid_norm: per-edge sigmoid of the layer-normalized coefficients
-    (no coupling between neighbors, so duplicate edges add up).
     softmax_vector: componentwise softmax over each destination's edges.
     softmax_scalar: softmax over mean coefficients, broadcast to all
-    components.
+    components.  The paper's sigmoid_norm gate is part of
+    ``engine.sigmoid_norm_message``, which computes the whole message.
     """
-    if variant == "sigmoid_norm":
-        if lnorm_gain is None or lnorm_bias is None:
-            raise ValueError("sigmoid_norm gate needs layer-norm parameters")
-        return engine.sigmoid(engine.layer_norm(alpha, lnorm_gain, lnorm_bias))
     if variant == "softmax_vector":
         return engine.segment_softmax(alpha, dst, n_nodes)
     if variant == "softmax_scalar":
         scalar = engine.mean(alpha, axis=1)
         gate = engine.segment_softmax(scalar, dst, n_nodes)
         return engine.reshape(gate, (alpha.shape[0], 1))
-    raise ValueError(f"unknown attention variant {variant!r}")
+    raise ValueError(f"attention_gate has no {variant!r} variant")
 
 
 class MatformerLayer:
@@ -141,6 +135,7 @@ class MatformerLayer:
         """Merged per-node message m_i, before batch norm and the residual."""
         n_nodes = node_feats.shape[0]
         d_k = 3 * self.config.d_model
+        variant = self.config.attention_variant
 
         head_outputs = []
         for head in self.heads:
@@ -148,10 +143,14 @@ class MatformerLayer:
             k = engine.linear(node_feats, head["k_w"], head["k_b"])
             v = engine.linear(node_feats, head["v_w"], head["v_b"])
             e = engine.linear(edge_feats, head["e_w"], head["e_b"])
-            alpha = engine.scale(engine.pair_product(q, k, e, src, dst), 1.0 / math.sqrt(d_k))
-            gate = attention_gate(alpha, dst, n_nodes, self.config.attention_variant,
-                                  self.alpha_ln_gain, self.alpha_ln_bias)
-            message = engine.add(engine.gated_pair_matmul(gate, v, e, src, dst, head["upd_w"]), head["upd_b"])
+            if variant == "sigmoid_norm":
+                message = engine.sigmoid_norm_message(q, k, v, e, self.alpha_ln_gain, self.alpha_ln_bias,
+                                                      head["upd_w"], src, dst)
+            else:
+                alpha = engine.scale(engine.pair_product(q, k, e, src, dst), 1.0 / math.sqrt(d_k))
+                gate = attention_gate(alpha, dst, n_nodes, variant)
+                message = engine.gated_pair_matmul(gate, v, e, src, dst, head["upd_w"])
+            message = engine.add(message, head["upd_b"])
             message = engine.layer_norm(
                 engine.linear(message, head["msg_w"], head["msg_b"]),
                 self.msg_ln_gain, self.msg_ln_bias,

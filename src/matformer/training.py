@@ -32,6 +32,9 @@ class TrainConfig:
             raise ValueError("lr/epochs/batch must be positive")
 
 
+_GRAD_LIMIT = math.sqrt(np.finfo(float).max)
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -57,11 +60,15 @@ def adam_step(
     place, with one gradient in ``grads`` per name in ``params``.
 
     Weight decay is decoupled: ``w <- w - lr*wd*w`` before the Adam delta.
-    A step with any non-finite gradient is rejected wholesale.
+    A step is rejected wholesale, with ``ValueError`` naming the parameter,
+    if any gradient is not finite or reaches sqrt(float max), where its
+    square could overflow the second moment.
     """
     for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient for parameter {name!r}; step rejected")
+        largest = np.abs(g).max(initial=0.0)
+        if not largest < _GRAD_LIMIT:  # also catches NaN
+            raise ValueError(f"non-finite gradient for parameter {name!r}, or one whose square would "
+                             f"overflow Adam's second moment (max |g| = {largest:.3g}); step rejected")
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
@@ -176,9 +183,10 @@ def train(
     epoch's weights and no parameter holds a ``.grad``: each step's gradients
     are freed once Adam has applied them.  A trailing minibatch of a single
     one-atom crystal is trained together with the batch before it (see
-    ``_epoch_batches``).  A non-finite training or validation forward raises
-    ``TrainingDivergedError``, naming the epoch.  Fully deterministic for a
-    fixed config seed and model.
+    ``_epoch_batches``).  A non-finite training or validation forward, or a
+    gradient ``adam_step`` rejects, raises ``TrainingDivergedError``, naming
+    the epoch (and the step and the parameter for a rejected gradient).
+    Fully deterministic for a fixed config seed and model.
     """
     if not val_records:
         raise ValueError("the validation set is empty; best-checkpoint selection needs at least one crystal")
@@ -233,7 +241,10 @@ def train(
                     f"non-finite forward at epoch {epoch} step {global_step}: {err}"
                 ) from err
             loss.backward()
-            adam_step(params, state, lr, _take_grads(params), weight_decay=config.weight_decay)
+            try:
+                adam_step(params, state, lr, _take_grads(params), weight_decay=config.weight_decay)
+            except ValueError as err:
+                raise TrainingDivergedError(f"epoch {epoch} step {global_step}: {err}") from err
             epoch_losses.append(float(loss.values))  # finite: the ops above check their outputs
 
         try:

@@ -9,10 +9,11 @@ array builders edge for edge and bit for bit; the audit's signatures follow
 as sorted tuples of Python floats, compared entry by entry, and must give
 the array signatures' discrepancies bit for bit.  The attention head's
 composed chain of gathers, concatenations and products is the reference
-for the engine's two pair ops, also bit for bit.  Central finite
-differences check every gradient, an explicit line-graph construction
-checks the closed-form size, and a plain CSV writer feeds the targets
-reader.
+for the engine's two pair ops, and with the scale, layer norm and sigmoid
+between them for its sigmoid-norm message op, also bit for bit.  Central
+finite differences check every gradient, an explicit line-graph
+construction checks the closed-form size, and a plain CSV writer feeds the
+targets reader.
 """
 
 import csv
@@ -333,6 +334,14 @@ def composed_gated_pair_matmul(gate, v, e, src, dst, w):
     return engine.matmul(engine.mul(gate, v_pair), w)
 
 
+def composed_sigmoid_norm_message(q, k, v, e, gain, bias, w, src, dst):
+    """``engine.sigmoid_norm_message``: the composed pair product, scale,
+    layer norm, sigmoid and composed gated matmul, each on the tape."""
+    alpha = engine.scale(composed_pair_product(q, k, e, src, dst), 1.0 / math.sqrt(3 * e.shape[1]))
+    gate = engine.sigmoid(engine.layer_norm(alpha, gain, bias))
+    return composed_gated_pair_matmul(gate, v, e, src, dst, w)
+
+
 def composed_aggregate_messages(layer, node_feats, edge_feats, src, dst):
     """``MatformerLayer.aggregate_messages`` with the composed pair chains."""
     n_nodes = node_feats.shape[0]
@@ -343,10 +352,14 @@ def composed_aggregate_messages(layer, node_feats, edge_feats, src, dst):
         k = engine.linear(node_feats, head["k_w"], head["k_b"])
         v = engine.linear(node_feats, head["v_w"], head["v_b"])
         e = engine.linear(edge_feats, head["e_w"], head["e_b"])
-        alpha = engine.scale(composed_pair_product(q, k, e, src, dst), 1.0 / math.sqrt(d_k))
-        gate = attention_gate(alpha, dst, n_nodes, layer.config.attention_variant,
-                              layer.alpha_ln_gain, layer.alpha_ln_bias)
-        message = engine.add(composed_gated_pair_matmul(gate, v, e, src, dst, head["upd_w"]), head["upd_b"])
+        if layer.config.attention_variant == "sigmoid_norm":
+            message = composed_sigmoid_norm_message(q, k, v, e, layer.alpha_ln_gain, layer.alpha_ln_bias,
+                                                    head["upd_w"], src, dst)
+        else:
+            alpha = engine.scale(composed_pair_product(q, k, e, src, dst), 1.0 / math.sqrt(d_k))
+            gate = attention_gate(alpha, dst, n_nodes, layer.config.attention_variant)
+            message = composed_gated_pair_matmul(gate, v, e, src, dst, head["upd_w"])
+        message = engine.add(message, head["upd_b"])
         message = engine.layer_norm(engine.linear(message, head["msg_w"], head["msg_b"]),
                                     layer.msg_ln_gain, layer.msg_ln_bias)
         head_outputs.append(engine.scatter_sum(message, dst, n_nodes))

@@ -216,14 +216,18 @@ class TestTrainPredict:
         assert [float(row["prediction"]) for row in rows] == want.tolist()
 
     def test_diverging_training_exits_two_with_one_line(self, tmp_path, capsys):
+        # at lr_max 1e12 a gradient grows past sqrt(float max) in the second epoch,
+        # where its square would overflow Adam's second moment
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
-                       "model.readout_hidden=4\ntrain.epochs=3\ntrain.batch_size=4\ntrain.lr_max=1e12\n")
+                       "model.readout_hidden=4\ntrain.epochs=2\ntrain.batch_size=4\ntrain.lr_max=1e12\n")
         with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as err:
             main(["train", "--synthetic", "12", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
         assert err.value.code == 2
-        assert re.fullmatch(r"cannot train: non-finite forward at epoch \d+ step \d+: .*\n",
-                            capsys.readouterr().err)
+        assert re.fullmatch(r"cannot train: epoch 1 step 3: non-finite gradient for parameter 'embed\.node\.w', "
+                            r"or one whose square would overflow Adam's second moment \(max \|g\| = .*\); "
+                            r"step rejected\n", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_predict_warns_when_target_scale_is_missing(self, corpus_dir, tmp_path, capsys):
         cfg = ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4)
@@ -367,6 +371,18 @@ class TestCouldNotRun:
 
     V1 = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
     NO_FILE = "[Errno 2] No such file or directory: '{missing}'"
+
+    @pytest.mark.parametrize("argv", [["build-graph", "{big}"], ["audit", "{big}"], ["featurize", "{big}"],
+                                      ["predict", "--checkpoint", V1, "--data", "{big}"]])
+    def test_cell_out_of_float_range_exits_two(self, tmp_path, capsys, argv):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"atomic_numbers": [1], "positions": [[0, 0, 0]],
+                                   "lattice": (1e200 * np.eye(3)).tolist()}))
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(big=big) for arg in argv])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (f"cannot read {big}: lattice leaves the float range: "
+                                           "the cell volume (its determinant) is not finite\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--data", "{corpus}", "--targets", "{missing}"], "cannot read {missing}: " + NO_FILE),

@@ -81,6 +81,12 @@ class TestCrystalValidation:
         with pytest.raises(ValueError, match="independent"):
             Crystal(np.array([1]), np.zeros((1, 3)), lattice)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_cell_out_of_float_range(self):
+        # every entry is finite, but the volume, 1e600, is not
+        with pytest.raises(ValueError, match="lattice leaves the float range"):
+            Crystal(np.array([1]), np.zeros((1, 3)), 1e200 * np.eye(3))
+
     def test_rejects_bad_atomic_numbers(self):
         with pytest.raises(ValueError):
             Crystal(np.array([0]), np.zeros((1, 3)), np.eye(3))

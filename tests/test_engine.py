@@ -20,6 +20,7 @@ from matformer.model import Matformer, ModelConfig
 from oracles import (
     composed_gated_pair_matmul,
     composed_pair_product,
+    composed_sigmoid_norm_message,
     finite_difference_gradients,
     layer_norm_grads,
     max_relative_error,
@@ -519,6 +520,13 @@ def _build_op_cases():
             {"gate": gg, "v": gv, "e": ge, "w": gw2, "out": gout},
         )
 
+    mq, mk, mv, me = param((4, 2)), param((4, 2)), param((4, 2)), param((6, 2))
+    mg, mb, mw, mout = param((6,)), param((6,)), param((6, 3)), param((6, 3))
+    cases["sigmoid_norm_message"] = (
+        lambda: engine.mean(engine.mul(engine.sigmoid_norm_message(mq, mk, mv, me, mg, mb, mw, psrc, pdst), mout)),
+        {"q": mq, "k": mk, "v": mv, "e": me, "gain": mg, "bias": mb, "w": mw, "out": mout},
+    )
+
     return cases
 
 
@@ -578,6 +586,54 @@ class TestPairOpsMatchComposedChain:
             held = [c.cell_contents for c in result._entry.backward_fn.__closure__]
             arrays = {id(a) for a in held if isinstance(a, np.ndarray)}
             assert arrays == {id(t.values) for t in inputs} | {id(src), id(dst)}
+
+
+MESSAGE_INPUTS = ("q", "k", "v", "e", "gain", "bias", "w")
+
+
+@st.composite
+def _message_cases(draw):
+    """``_pair_cases`` plus a layer-norm gain and bias, and the inputs that
+    need a gradient: any non-empty subset."""
+    arrays, src, dst = draw(_pair_cases())
+    width = 3 * arrays["q"].shape[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = dict(arrays, gain=1.0 + 0.5 * rng.standard_normal(width), bias=0.5 * rng.standard_normal(width))
+    needs = draw(st.sets(st.sampled_from(MESSAGE_INPUTS), min_size=1))
+    return arrays, src, dst, needs
+
+
+class TestSigmoidNormMessageMatchesComposedChain:
+    """``sigmoid_norm_message`` against the composed pair product, scale,
+    layer norm, sigmoid and gated matmul (``tests/oracles.py``), bit for bit."""
+
+    @staticmethod
+    def run(case, op):
+        arrays, src, dst, needs = case
+        leaves = {name: Tensor(arrays[name], requires_grad=name in needs) for name in MESSAGE_INPUTS}
+        out = op(*(leaves[name] for name in MESSAGE_INPUTS), src, dst)
+        backward(engine.tensor_sum(engine.mul(out, Tensor(arrays["g_out"]))))
+        return out.values, {name: leaf.grad for name, leaf in leaves.items()}
+
+    @given(_message_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_value_and_all_seven_gradients(self, case):
+        out, grads = self.run(case, engine.sigmoid_norm_message)
+        want_out, want_grads = self.run(case, composed_sigmoid_norm_message)
+        assert out.tobytes() == want_out.tobytes()
+        needs = case[3]
+        for name, want in want_grads.items():
+            assert (want is None) == (name not in needs) == (grads[name] is None), name
+            if want is not None:
+                assert grads[name].shape == want.shape and grads[name].tobytes() == want.tobytes(), name
+
+    def test_tape_holds_only_the_inputs(self):
+        src, dst = np.array([0, 1, 1, 2]), np.array([1, 0, 0, 1])
+        inputs = (param((3, 2)), param((3, 2)), param((3, 2)), param((4, 2)), param((6,)), param((6,)), param((6, 2)))
+        out = engine.sigmoid_norm_message(*inputs, src, dst)
+        held = [c.cell_contents for c in out._entry.backward_fn.__closure__]
+        arrays = {id(a) for a in held if isinstance(a, np.ndarray)}
+        assert arrays == {id(t.values) for t in inputs} | {id(src), id(dst)}
 
 
 class TestBatchNorm:

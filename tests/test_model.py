@@ -156,10 +156,14 @@ class TestAttentionGates:
         assert np.allclose(gate.values, 0.5)
 
     def test_sigmoid_norm_of_zero(self):
-        alpha = Tensor(np.zeros((3, 6)))
-        gate = attention_gate(alpha, np.array([0, 0, 1]), 2, "sigmoid_norm",
-                              Tensor(np.ones(6)), Tensor(np.zeros(6)))
-        assert np.allclose(gate.values, 0.5)
+        # zero coefficients normalize to zero, so every gate is sigmoid(0) = 0.5
+        src, dst = np.array([1, 0, 1]), np.array([0, 0, 1])
+        v = np.random.default_rng(0).standard_normal((2, 2))
+        zeros = Tensor(np.zeros((2, 2)))
+        message = engine.sigmoid_norm_message(zeros, zeros, Tensor(v), Tensor(np.zeros((3, 2))), Tensor(np.ones(6)),
+                                              Tensor(np.zeros(6)), Tensor(np.eye(6)), src, dst)
+        pair = np.concatenate([v[dst], v[src], np.zeros((3, 2))], axis=1)
+        assert np.array_equal(message.values, 0.5 * pair)
 
     def test_softmax_vector_normalizes(self):
         alpha = Tensor(np.random.default_rng(0).standard_normal((4, 6)))
@@ -168,7 +172,15 @@ class TestAttentionGates:
         assert np.allclose(gate.values[2:].sum(axis=0), 1.0)
 
     def test_sigmoid_norm_requires_params(self):
-        with pytest.raises(ValueError):
+        # layer-norm gain and bias of width 3d = 6
+        zeros = Tensor(np.zeros((2, 2)))
+        for gain, bias in ((None, np.zeros(6)), (np.ones(6), None), (np.ones(9), np.zeros(9))):
+            with pytest.raises(ValueError, match=r"gain and bias of shape \(6,\)"):
+                engine.sigmoid_norm_message(zeros, zeros, zeros, zeros, gain, bias, Tensor(np.eye(6)),
+                                            np.array([0, 1]), np.array([1, 0]))
+
+    def test_the_gate_alone_has_only_softmax_variants(self):
+        with pytest.raises(ValueError, match="no 'sigmoid_norm' variant"):
             attention_gate(Tensor(np.zeros((2, 6))), np.array([0, 0]), 1, "sigmoid_norm")
 
 
@@ -712,9 +724,10 @@ class TestGradients:
             for other, h in grads[i + 1:]:
                 assert not np.shares_memory(g, h), (name, other)
 
-    def test_paper_config_training_step_peaks_under_100_mib(self):
+    def test_paper_config_training_step_peaks_under_45_mib(self):
         # a batch of the benchmark's training crystals: 8 cells of 1-6 atoms, 399 edges;
-        # 147 MiB if the tape holds each head's (E, 3d) pair copies
+        # 80 MiB if the tape holds each head's (E, 3d) layer-norm xhat and gate,
+        # 147 MiB if it holds its (E, 3d) pair copies too
         rng = np.random.default_rng(1)
         model = Matformer(ModelConfig(), seed=1)
         prepared = batch_prepared([model.prepare(random_crystal(rng, n_atoms=1 + i % 6)) for i in range(8)])
@@ -726,7 +739,7 @@ class TestGradients:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MiB"
+        assert peak < 45 * 2**20, f"a training step peaked at {peak / 2**20:.1f} MiB"
 
     def test_small_model_passes_finite_differences(self):
         cfg = ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4)

@@ -72,6 +72,21 @@ class TestAdam:
             adam_step({"w": w}, state, lr=1e-3, grads={"w": np.array([np.nan])})
         assert w.values[0] == 1.0  # step rejected wholesale
 
+    @pytest.mark.parametrize("g", [1e155, -1e155, np.inf])
+    def test_rejects_a_gradient_whose_square_would_overflow(self, g):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        state = AdamState.create({"w": w})
+        with pytest.raises(ValueError, match=r"parameter 'w', or one whose square would overflow"):
+            adam_step({"w": w}, state, lr=1e-3, grads={"w": np.array([0.5, g])})
+        assert w.values.tolist() == [1.0, 2.0] and state.step == 0
+
+    def test_accepts_a_gradient_just_below_the_limit(self):
+        w = Tensor(np.array([1.0]), requires_grad=True)
+        state = AdamState.create({"w": w})
+        with np.errstate(all="raise"):
+            adam_step({"w": w}, state, lr=1e-3, grads={"w": np.array([1e153])})
+        assert np.isfinite(state.v["w"]).all() and w.values[0] == pytest.approx(1.0 - 1e-3)
+
 
 class TestOneCycle:
     def test_endpoints_and_peak(self):
@@ -154,6 +169,21 @@ class TestTrainLoop:
         config = TrainConfig(lr_max=1e-3, epochs=1, batch_size=2, seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch 0 .*produced by matmul"):
             train(model, records, records, config)
+
+    def test_rejected_gradient_names_the_epoch_step_and_parameter(self, monkeypatch):
+        def poisoned_backward(root):
+            backward(root)
+            if len(counted) == 2:  # the first step of the second epoch: two batches of 2 per epoch
+                model.readout_b2.grad[0] = np.nan
+            counted.append(root)
+
+        counted, backward = [], engine.backward
+        monkeypatch.setattr(engine, "backward", poisoned_backward)
+        model = Matformer(TINY_MODEL, seed=0)
+        config = TrainConfig(lr_max=1e-3, epochs=2, batch_size=2, seed=0)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^epoch 1 step 2: non-finite gradient for parameter 'readout\.b2'"):
+            train(model, make_records(4, seed=3), make_records(2, seed=4), config)
 
     def test_non_finite_validation_forward_names_the_epoch(self):
         # a val-only species whose embedding row overflows: the training forward never reads it
