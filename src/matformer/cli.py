@@ -226,7 +226,7 @@ def cmd_train(args) -> int:
     model = Matformer(model_config, seed=train_config.seed)
     try:
         result = training.train(model, train_recs, val_recs, train_config)
-    except training.TrainingDivergedError as err:
+    except (ValueError, training.TrainingDivergedError) as err:  # data train rejects, or divergence
         raise CannotRun(f"cannot train: {err}") from None
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -316,9 +316,11 @@ def concat(parts, axis: int = -1) -> Tensor:
 
 def _sigmoid_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)), computed in one buffer: ``out`` (which may be
-    ``x``) or a new one."""
+    ``x``) or a new one.  An ``exp`` that overflows gives inf and so 0, its
+    limit, without a warning."""
     s = np.negative(x, out=np.empty_like(x) if out is None else out)
-    np.exp(s, out=s)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
 
@@ -436,28 +438,29 @@ def segment_softmax(a, segments, num_segments: int) -> Tensor:
     return _node(s, (ea,), bw, "segment_softmax")
 
 
-def _normalize(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``layer_norm``'s ``xhat`` and ``inv``: ``x`` centered over its last
-    axis, times ``inv = 1 / sqrt(var + eps)``, with the centered values and
-    the variance exactly as ``np.var`` forms them.  ``xhat`` is formed in
-    ``out`` (which may be ``x``) or a new buffer."""
-    dim = x.shape[-1]
-    if dim < 2:
-        raise ValueError("layer_norm over a length-1 axis is undefined")
-    mean = x.mean(axis=-1, keepdims=True)
+def _normalize(x: np.ndarray, out: np.ndarray | None = None, axis: int = -1):
+    """``xhat``, ``inv``, ``mean`` and ``var`` over ``axis``, each statistic
+    keeping it: ``x`` centered, times ``inv = 1 / sqrt(var + eps)``, with the
+    statistics and centered values exactly as ``np.var`` forms them.
+    ``xhat`` is formed in ``out`` (which may be ``x``) or a new buffer."""
+    n = x.shape[axis]
+    if n < 2:
+        raise ValueError("normalizing over a length-1 axis is undefined")
+    mean = x.mean(axis=axis, keepdims=True)
     xhat = np.subtract(x, mean, out=out)
-    var = np.square(xhat).sum(axis=-1, keepdims=True)
-    var /= dim
+    var = np.square(xhat).sum(axis=axis, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat *= inv
-    return xhat, inv
+    return xhat, inv, mean, var
 
 
-def _layer_norm_backward(g, xhat, inv, gain, eg, eb, want_input: bool, out: np.ndarray | None = None):
-    """Pass ``layer_norm``'s gain and bias gradients to ``eg`` and ``eb``.  With
-    ``want_input``, return its input gradient (gh - mean(gh) - xhat *
-    mean(gh * xhat)) * inv, gh = g * gain, formed in ``out`` (which may be
-    ``g``) or a new buffer, plus one temporary."""
+def _layer_norm_backward(g, xhat, inv, gain, eg, eb, want_input: bool, out: np.ndarray | None = None,
+                         axis: int = -1):
+    """Pass a norm's gain and bias gradients to ``eg`` and ``eb``.  With
+    ``want_input``, return its input gradient over ``axis``, (gh - mean(gh) -
+    xhat * mean(gh * xhat)) * inv, gh = g * gain, formed in ``out`` (which
+    may be ``g``) or a new buffer, plus one temporary."""
     if eg is not None:
         eg.adopt(_unbroadcast(g * xhat, eg.shape))
     if eb is not None:
@@ -466,8 +469,8 @@ def _layer_norm_backward(g, xhat, inv, gain, eg, eb, want_input: bool, out: np.n
         return None
     gh = np.multiply(g, gain, out=out)
     tmp = np.multiply(gh, xhat)
-    mean_gh_xhat = tmp.mean(axis=-1, keepdims=True)
-    gh -= gh.mean(axis=-1, keepdims=True)
+    mean_gh_xhat = tmp.mean(axis=axis, keepdims=True)
+    gh -= gh.mean(axis=axis, keepdims=True)
     gh -= np.multiply(xhat, mean_gh_xhat, out=tmp)
     gh *= inv
     return gh
@@ -477,7 +480,7 @@ def layer_norm(a, gain, bias) -> Tensor:
     """Normalize over the last axis, then apply elementwise affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     ea, eg, eb = _grad_entry(a), _grad_entry(gain), _grad_entry(bias)
-    xhat, inv = _normalize(a.values)
+    xhat, inv, _, _ = _normalize(a.values)
     gv = gain.values
 
     def bw(g):
@@ -509,7 +512,8 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
 
     Training mode normalizes with batch statistics and updates the running
     statistics in ``state``; eval mode normalizes with the stored running
-    statistics, making the output a pure function of the input.
+    statistics, making the output a pure function of the input.  The batch
+    statistics and their backward are layer norm's, taken over the rows.
     """
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     ea, eg, eb = _grad_entry(a), _grad_entry(gamma), _grad_entry(beta)
@@ -520,13 +524,10 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
         n = x.shape[0]
         if n < 2:
             raise ValueError("batch_norm training mode needs at least 2 rows")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
-        inv = 1.0 / np.sqrt(var + _NORM_EPS)
-        xhat = (x - mean) * inv
+        xhat, inv, mean, var = _normalize(x, axis=0)
         m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mean
-        state.running_var = (1.0 - m) * state.running_var + m * var * n / (n - 1)
+        state.running_mean = (1.0 - m) * state.running_mean + m * mean[0]
+        state.running_var = (1.0 - m) * state.running_var + m * var[0] * n / (n - 1)
         state.num_batches += 1
     else:
         inv = 1.0 / np.sqrt(state.running_var + _NORM_EPS)
@@ -534,16 +535,9 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     gv = gamma.values
 
     def bw(g):
-        if eg is not None:
-            eg.accumulate((g * xhat).sum(axis=0))
-        if eb is not None:
-            eb.accumulate(g.sum(axis=0))
+        g_in = _layer_norm_backward(g, xhat, inv, gv, eg, eb, ea is not None and training, axis=0)
         if ea is not None:
-            gh = g * gv
-            if training:
-                # batch statistics depend on every row
-                gh = gh - gh.mean(axis=0) - xhat * (gh * xhat).mean(axis=0)
-            ea.adopt(gh * inv)
+            ea.adopt(g_in if training else g * gv * inv)
 
     return _node(xhat * gv + beta.values, (ea, eg, eb), bw, "batch_norm")
 
@@ -734,7 +728,7 @@ def sigmoid_norm_message(q, k, v, e, gain, bias, w, src, dst) -> Tensor:
     def bw(g):
         alpha = _pair_product_values(qv, kv, e_v, src, dst)
         alpha *= c
-        xhat, inv = _normalize(alpha, out=alpha)
+        xhat, inv, _, _ = _normalize(alpha, out=alpha)
         s = np.multiply(xhat, gv)
         s += bv
         s = _sigmoid_values(s, out=s)

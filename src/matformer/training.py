@@ -183,9 +183,11 @@ def train(
     epoch's weights and no parameter holds a ``.grad``: each step's gradients
     are freed once Adam has applied them.  A trailing minibatch of a single
     one-atom crystal is trained together with the batch before it (see
-    ``_epoch_batches``).  A non-finite training or validation forward, or a
-    gradient ``adam_step`` rejects, raises ``TrainingDivergedError``, naming
-    the epoch (and the step and the parameter for a rejected gradient).
+    ``_epoch_batches``).  Training targets whose mean or standard deviation
+    is not finite raise ``ValueError`` before the first step.  A non-finite
+    training or validation forward or validation MAE, or a gradient
+    ``adam_step`` rejects, raises ``TrainingDivergedError``, naming the epoch
+    (and the step and the parameter for a rejected gradient).
     Fully deterministic for a fixed config seed and model.
     """
     if not val_records:
@@ -206,8 +208,12 @@ def train(
     train_targets = np.array([r.target for r in train_records], dtype=float)
     val_targets = np.array([r.target for r in val_records], dtype=float)
 
-    t_mean = float(train_targets.mean())
-    t_std = float(train_targets.std())
+    with np.errstate(over="ignore", invalid="ignore"):  # a scale past the float range is rejected below
+        t_mean = float(train_targets.mean())
+        t_std = float(train_targets.std())
+    if not (math.isfinite(t_mean) and math.isfinite(t_std)):
+        raise ValueError(f"the training targets' mean ({t_mean:.3g}) or standard deviation ({t_std:.3g}) "
+                         "is not finite: rescale the targets")
     if t_std == 0.0:
         t_std = 1.0
     scaled_targets = (train_targets - t_mean) / t_std
@@ -219,7 +225,6 @@ def train(
     log: list[dict] = []
     best_val = math.inf
     model.zero_grad()  # backward accumulates; each step's _take_grads leaves no .grad behind
-    best = copy.deepcopy(model)
 
     for epoch in range(config.epochs):
         order = rng.permutation(n_train)
@@ -248,10 +253,14 @@ def train(
             epoch_losses.append(float(loss.values))  # finite: the ops above check their outputs
 
         try:
-            val_preds = evaluate(model, val_graphs) * t_std + t_mean
+            val_preds = evaluate(model, val_graphs)
         except FloatingPointError as err:
             raise TrainingDivergedError(f"non-finite validation forward at epoch {epoch}: {err}") from err
-        val_mae = mae(val_preds, val_targets)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite MAE is rejected below
+            val_preds = val_preds * t_std + t_mean
+            val_mae = mae(val_preds, val_targets)
+        if not math.isfinite(val_mae):
+            raise TrainingDivergedError(f"non-finite validation MAE ({val_mae}) at epoch {epoch}")
         row = {
             "epoch": epoch,
             "lr": lr,
@@ -261,7 +270,7 @@ def train(
             "ewt_0.02": ewt(val_preds, val_targets, 0.02),
         }
         log.append(row)
-        if val_mae < best_val:
+        if val_mae < best_val:  # always at epoch 0: the MAE is finite
             best_val = val_mae
             best = copy.deepcopy(model)
 

@@ -10,8 +10,10 @@ as sorted tuples of Python floats, compared entry by entry, and must give
 the array signatures' discrepancies bit for bit.  The attention head's
 composed chain of gathers, concatenations and products is the reference
 for the engine's two pair ops, and with the scale, layer norm and sigmoid
-between them for its sigmoid-norm message op, also bit for bit.  Central
-finite differences check every gradient, an explicit line-graph
+between them for its sigmoid-norm message op, also bit for bit.  Batch
+norm's own inline statistics and backward, as the library once wrote them,
+hold the normalization kernel it shares with layer norm to the same bits.
+Central finite differences check every gradient, an explicit line-graph
 construction checks the closed-form size, and a plain CSV writer feeds the
 targets reader.
 """
@@ -125,6 +127,29 @@ def layer_norm_grads(a, gain, g, eps=1e-5):
     if gain.shape != d_gain.shape:
         d_gain = d_gain.sum(axis=0, keepdims=gain.ndim == 2)
     return term * inv + 0.0, d_gain + 0.0
+
+
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, g, training, momentum=0.1, eps=1e-5):
+    """``engine.batch_norm`` as its own inline formulas once computed it, for
+    an upstream gradient ``g``: the output, the gradients of ``x``, ``gamma``
+    and ``beta`` as leaves receive them (copied as 0.0 + grad), and the
+    updated running mean and variance (unchanged in eval mode)."""
+    if training:
+        n = x.shape[0]
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mean) * inv
+        running_mean = (1.0 - momentum) * running_mean + momentum * mean
+        running_var = (1.0 - momentum) * running_var + momentum * var * n / (n - 1)
+    else:
+        inv = 1.0 / np.sqrt(running_var + eps)
+        xhat = (x - running_mean) * inv
+    gh = g * gamma
+    if training:
+        gh = gh - gh.mean(axis=0) - xhat * (gh * xhat).mean(axis=0)
+    grads = {"x": gh * inv + 0.0, "gamma": (g * xhat).sum(axis=0) + 0.0, "beta": g.sum(axis=0) + 0.0}
+    return xhat * gamma + beta, grads, running_mean, running_var
 
 
 # --- numeric and counting references -------------------------------------------

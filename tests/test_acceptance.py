@@ -24,14 +24,14 @@ from matformer.audit import (
     shift_sensitive_crystal,
     tie_crystal,
 )
-from matformer.crystal import supercell
+from matformer.crystal import crystal_from_frac, supercell
 from matformer.engine import backward
 from matformer.featurize import batch_prepared
 from matformer.graphs import build_radius_graph, build_t_fully_connected, lattice_gram_from_six, self_connecting_distances
 from matformer.io import DatasetRecord
 from matformer.model import Matformer, ModelConfig
 from matformer.synthetic import mean_lattice_length, random_corpus, random_lattice
-from matformer.training import TrainConfig, ewt, mae, train
+from matformer.training import TrainConfig, evaluate, ewt, mae, train
 from matformer import engine
 from oracles import explicit_line_graph_size, finite_difference_gradients, ring_multigraph
 
@@ -385,4 +385,52 @@ def test_criterion_12_degree_sensitivity():
         ok,
         f"edge duplication moves the default output by {default_delta:.2e} (> 1e-3) while the "
         f"softmax-vector attention aggregate shifts by {softmax_delta:.2e} (< 1e-12)",
+    )
+
+
+def _chain(b):
+    """One atom per cell of the lattice diag(1, b, b): a chain along x whose
+    radius graph, images along x alone for b from 6.2 to 7.8 A, does not
+    depend on b."""
+    return crystal_from_frac([6], [[0.0, 0.0, 0.0]], np.diag([1.0, b, b]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_criterion_13_repeating_pattern_encoding():
+    start = time.perf_counter()
+    # every b below rbf_hi (8 A), beyond which a self edge is invisible (TestSelfEdgeBlindSpot)
+    spacings = np.linspace(6.2, 7.8, 16)
+    records = [DatasetRecord(id=f"b{i}", crystal=_chain(b), target=float(b)) for i, b in enumerate(spacings)]
+    floor = float(np.abs(spacings - np.median(spacings)).mean())  # the best constant prediction's MAE
+    std = float(spacings.std())
+    pair_ok, blind_ok, fit_ok = True, True, True
+    worst_blind, worst_fit, gap = math.inf, 0.0, math.inf
+    for seed in (1, 2, 3):
+        for self_edges in (False, True):
+            cfg = ModelConfig(n_layers=2, n_heads=2, d_model=16, rbf_kernels=16, readout_hidden=16,
+                              use_self_edges=self_edges)
+            model = Matformer(cfg, seed=seed)
+            a, b = model.predict(_chain(6.5)), model.predict(_chain(7.5))
+            if self_edges:
+                pair_ok &= a != b
+                gap = min(gap, abs(a - b))
+            else:
+                pair_ok &= a == b
+            result = train(model, records, records, TrainConfig(lr_max=3e-3, epochs=60, batch_size=8, seed=seed))
+            best, scale = result.best_model, result.best_checkpoint["target_scale"]
+            preds = evaluate(best, [best.prepare(r.crystal) for r in records]) * scale["std"] + scale["mean"]
+            if self_edges:
+                fit_ok &= result.best_val_mae < 0.05 * std
+                worst_fit = max(worst_fit, result.best_val_mae)
+            else:
+                blind_ok &= len(set(preds.tolist())) == 1 and result.best_val_mae >= floor
+                worst_blind = min(worst_blind, result.best_val_mae)
+    elapsed = time.perf_counter() - start
+    _report(
+        13,
+        pair_ok and blind_ok and fit_ok and elapsed < 10.0,
+        f"chains diag(1, b, b), b = 6.5 vs 7.5 A: equal bits without self edges, |delta| >= {gap:.2e} with; "
+        f"fit on 16 chains, seeds 1-3: without self edges one constant prediction, MAE >= {worst_blind:.4f} "
+        f">= floor {floor:.4f} A; with self edges MAE <= {worst_fit:.4f} A = {worst_fit / std:.1%} of the "
+        f"target std (< 5%), {elapsed:.1f}s < 10s",
     )

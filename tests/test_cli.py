@@ -11,6 +11,7 @@ from matformer.cli import main
 from matformer.model import Matformer, ModelConfig
 from matformer.synthetic import random_corpus
 from matformer.training import evaluate
+from oracles import write_targets_csv
 
 CUBE_POSCAR = """hydrogen cube
 1.0
@@ -215,18 +216,52 @@ class TestTrainPredict:
         want = evaluate(best, [best.prepare(crystals[row["id"]]) for row in rows]) * scale["std"] + scale["mean"]
         assert [float(row["prediction"]) for row in rows] == want.tolist()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_training_exits_two_with_one_line(self, tmp_path, capsys):
         # at lr_max 1e12 a gradient grows past sqrt(float max) in the second epoch,
-        # where its square would overflow Adam's second moment
+        # where its square would overflow Adam's second moment; the sigmoid's
+        # overflowing exp on the way there warns no more
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
                        "model.readout_hidden=4\ntrain.epochs=2\ntrain.batch_size=4\ntrain.lr_max=1e12\n")
-        with pytest.warns(RuntimeWarning), pytest.raises(SystemExit) as err:
+        with pytest.raises(SystemExit) as err:
             main(["train", "--synthetic", "12", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
         assert err.value.code == 2
         assert re.fullmatch(r"cannot train: epoch 1 step 3: non-finite gradient for parameter 'embed\.node\.w', "
                             r"or one whose square would overflow Adam's second moment \(max \|g\| = .*\); "
                             r"step rejected\n", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_targets_past_the_float_range_exit_two_with_one_line(self, tmp_path, capsys):
+        # their squares overflow the standard deviation, which would scale every prediction to inf
+        data = tmp_path / "data"
+        data.mkdir()
+        for i, crystal in enumerate(random_corpus(12, seed=0)):
+            (data / f"c{i:02d}.json").write_text(io.write_crystal_json(crystal))
+        targets = tmp_path / "big.csv"
+        targets.write_text(write_targets_csv([(f"c{i:02d}", (i + 1) * 1e200) for i in range(12)]))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
+                       "model.readout_hidden=4\ntrain.epochs=2\ntrain.batch_size=4\n")
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data), "--targets", str(targets), "--config", str(cfg),
+                  "--out-dir", str(tmp_path / "run")])
+        assert err.value.code == 2
+        assert re.fullmatch(r"cannot train: the training targets' mean \(.*\) or standard deviation \(inf\) "
+                            r"is not finite: rescale the targets\n", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_data_train_rejects_exits_two_with_one_line(self, tmp_path, capsys):
+        # random_corpus(12, seed=0) holds one-atom crystals, too few atoms for a batch of one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
+                       "model.readout_hidden=4\ntrain.epochs=1\ntrain.batch_size=1\n")
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--synthetic", "12", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == ("cannot train: batch_size=1 with a one-atom crystal: "
+                                           "batch norm needs at least 2 atoms per minibatch\n")
         assert not (tmp_path / "run").exists()
 
     def test_predict_warns_when_target_scale_is_missing(self, corpus_dir, tmp_path, capsys):

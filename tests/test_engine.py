@@ -18,6 +18,7 @@ from matformer.engine import (
 )
 from matformer.model import Matformer, ModelConfig
 from oracles import (
+    batch_norm_reference,
     composed_gated_pair_matmul,
     composed_pair_product,
     composed_sigmoid_norm_message,
@@ -678,6 +679,56 @@ class TestBatchNorm:
         state = BatchNormState.create(2)
         with pytest.raises(ValueError, match="2 rows"):
             batch_norm(Tensor(np.ones((1, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, True)
+
+
+BATCH_NORM_INPUTS = ("x", "gamma", "beta")
+
+
+@st.composite
+def _batch_norm_cases(draw):
+    """2-8 rows, widths 2-16, either mode, running statistics off their
+    initial values, and any non-empty subset of the inputs needing a gradient."""
+    rows, width = draw(st.integers(2, 8)), draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = {
+        "x": rng.standard_normal((rows, width)) * 10.0 ** draw(st.integers(-3, 3)) + rng.standard_normal(width),
+        "gamma": 1.0 + 0.5 * rng.standard_normal(width),
+        "beta": 0.5 * rng.standard_normal(width),
+        "g": rng.standard_normal((rows, width)),
+        "running_mean": rng.standard_normal(width),
+        "running_var": 0.5 + rng.random(width),
+    }
+    training = draw(st.booleans())
+    needs = draw(st.sets(st.sampled_from(BATCH_NORM_INPUTS), min_size=1))
+    return arrays, training, needs, draw(st.integers(0, 100))
+
+
+class TestBatchNormMatchesInlineFormulas:
+    """``batch_norm`` on the shared normalization kernel against its former
+    inline formulas (``tests/oracles.py``), bit for bit."""
+
+    @given(_batch_norm_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_output_gradients_and_running_statistics(self, case):
+        arrays, training, needs, num_batches = case
+        leaves = {name: Tensor(arrays[name], requires_grad=name in needs) for name in BATCH_NORM_INPUTS}
+        state = BatchNormState(arrays["running_mean"].copy(), arrays["running_var"].copy(), num_batches=num_batches)
+        out = batch_norm(leaves["x"], leaves["gamma"], leaves["beta"], state, training)
+        # d(sum(out * g))/d(out) is g itself
+        backward(engine.tensor_sum(engine.mul(out, Tensor(arrays["g"]))))
+        want_out, want_grads, want_mean, want_var = batch_norm_reference(
+            arrays["x"], arrays["gamma"], arrays["beta"], arrays["running_mean"], arrays["running_var"],
+            arrays["g"], training)
+        assert out.values.tobytes() == want_out.tobytes()
+        for name, leaf in leaves.items():
+            if name in needs:
+                assert leaf.grad.shape == want_grads[name].shape, name
+                assert leaf.grad.tobytes() == want_grads[name].tobytes(), name
+            else:
+                assert leaf.grad is None, name
+        assert state.running_mean.shape == want_mean.shape and state.running_mean.tobytes() == want_mean.tobytes()
+        assert state.running_var.shape == want_var.shape and state.running_var.tobytes() == want_var.tobytes()
+        assert state.num_batches == num_batches + training
 
 
 class TestCheckpoint:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import types
 import weakref
 
 import numpy as np
@@ -196,6 +199,30 @@ class TestTrainLoop:
                 TrainingDivergedError, match="^non-finite validation forward at epoch 0: non-finite values produced by"):
             train(model, records[:2], records[2:], config)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target, scale", [
+        (lambda i: (i + 1) * 1e200, "mean (2.5e+200) or standard deviation (inf)"),  # the squares overflow
+        (lambda i: 1e308, "mean (inf) or standard deviation (inf)"),  # the sum overflows
+    ])
+    def test_targets_of_no_finite_scale_are_rejected_before_the_first_step(self, monkeypatch, target, scale):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train ran a forward")
+
+        monkeypatch.setattr(Matformer, "forward", refuse)
+        records = [dataclasses.replace(r, target=target(i)) for i, r in enumerate(make_records(4, seed=3))]
+        with pytest.raises(ValueError) as err:
+            train(Matformer(TINY_MODEL, seed=0), records, records, TrainConfig(epochs=1, batch_size=2))
+        assert str(err.value) == f"the training targets' {scale} is not finite: rescale the targets"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_validation_mae_names_the_epoch(self):
+        # a finite scale, but a validation target the predictions cannot reach within the float range
+        record = make_records(1, seed=3)[0]
+        train_records = [dataclasses.replace(record, target=8e307)] * 2  # mean 8e307, std 0
+        val_records = [dataclasses.replace(record, target=-1.5e308)]
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite validation MAE \(inf\) at epoch 0$"):
+            train(Matformer(TINY_MODEL, seed=0), train_records, val_records, TrainConfig(epochs=1, batch_size=2))
+
     def test_best_checkpoint_tracks_val(self):
         records = make_records(6, seed=4)
         model = Matformer(TINY_MODEL, seed=1)
@@ -294,6 +321,17 @@ class TestBestCheckpoint:
         best = dict(result.best_checkpoint)
         assert best.pop("target_scale")
         assert best == model.to_checkpoint() == result.best_model.to_checkpoint()
+
+    def test_one_model_copy_per_improving_epoch(self, monkeypatch):
+        copies = []
+        counting = types.SimpleNamespace(deepcopy=lambda x: copies.append(x) or copy.deepcopy(x))
+        monkeypatch.setattr(training, "copy", counting)
+        model = Matformer(TINY_MODEL, seed=1)
+        records = make_records(6, seed=4)
+        result = train(model, records, records, TrainConfig(lr_max=5e-2, epochs=6, batch_size=3, seed=1))
+        maes = [row["val_mae"] for row in result.log]
+        improving = [i for i, v in enumerate(maes) if v < min(maes[:i], default=np.inf)]
+        assert improving[0] == 0 and len(copies) == len(improving) and all(c is model for c in copies)
 
     def test_checkpoint_holds_best_epoch_and_model_holds_last(self):
         records = make_records(6, seed=4)
