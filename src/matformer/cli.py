@@ -212,6 +212,21 @@ def _split(records, val_fraction, test_fraction, seed):
     return pick(train_ids), pick(val_ids), pick(test_ids)
 
 
+def _predict_rows(model: Matformer, scale: dict, items) -> list[tuple[str, float, float]]:
+    """``(id, prediction, target)`` for each ``(id, crystal, target)``, in target
+    units, one crystal per forward: ``train``'s test split and ``predict`` on
+    the checkpoint it wrote give the same bits (a batched forward may differ
+    in the last place)."""
+    rows = []
+    for name, crystal, target in items:
+        try:
+            pred = model.predict(crystal) * scale["std"] + scale["mean"]
+        except FloatingPointError as err:
+            raise CannotRun(f"cannot predict {name}: {err}") from None
+        rows.append((name, pred, target))
+    return rows
+
+
 def cmd_train(args) -> int:
     mapping = _parse_file(args.config, io.parse_run_config) if args.config else {}
     model_config, train_config = _run_configs(mapping)
@@ -235,11 +250,8 @@ def cmd_train(args) -> int:
         os.path.join(args.out_dir, "checkpoint.json"), json.dumps(result.best_checkpoint)
     )
     if test_recs:
-        best = result.best_model
-        scale = result.best_checkpoint["target_scale"]
-        prepared = [best.prepare(r.crystal) for r in test_recs]
-        preds = training.evaluate(best, prepared) * scale["std"] + scale["mean"]
-        rows = [(r.id, float(p), r.target) for r, p in zip(test_recs, preds)]
+        rows = _predict_rows(result.best_model, result.best_checkpoint["target_scale"],
+                             [(r.id, r.crystal, r.target) for r in test_recs])
         io.atomic_write(os.path.join(args.out_dir, "predictions.csv"), io.write_predictions_csv(rows))
     print(f"best validation MAE: {result.best_val_mae:.6f} (artifacts in {args.out_dir})")
     return 0
@@ -259,13 +271,8 @@ def cmd_predict(args) -> int:
               "(mean 0, std 1)", file=sys.stderr)
         scale = {"mean": 0.0, "std": 1.0}
     targets = _parse_file(args.targets, io.parse_targets_csv) if args.targets else {}
-    rows = []
-    for name, crystal in _load_crystals([args.data]):
-        try:
-            pred = model.predict(crystal) * scale["std"] + scale["mean"]
-        except FloatingPointError as err:
-            raise CannotRun(f"cannot predict {name}: {err}") from None
-        rows.append((name, pred, targets.get(name, math.nan)))
+    rows = _predict_rows(model, scale, [(name, crystal, targets.get(name, math.nan))
+                                        for name, crystal in _load_crystals([args.data])])
     text = io.write_predictions_csv(rows)
     if args.out:
         io.atomic_write(args.out, text)

@@ -71,21 +71,12 @@ def _finite(values: np.ndarray, op: str) -> np.ndarray:
 
 
 def _accumulate(entry, g: np.ndarray) -> None:
-    """Add ``g`` into the gradient slot of a tape entry (a leaf or an op output's)."""
+    """Add ``g`` into the gradient slot of a tape entry (a leaf or an op output's).
+    The first ``g`` is copied, so a slot never aliases an array its closure or
+    caller holds; later ones are added in place."""
     if entry.grad is None:
         # a fresh copy of 0.0 + g: the same bits as summing into zeros
         entry.grad = np.add(g, 0.0, out=np.empty(entry.shape))
-    else:
-        entry.grad += g
-
-
-def _adopt(entry, g: np.ndarray) -> None:
-    """``_accumulate`` for a ``g`` the backward closure has just allocated and
-    holds nowhere else: an op output's empty slot takes the array itself,
-    uncopied.  It may keep a -0.0 the copy would have made +0.0; the sign of
-    a zero gradient changes no nonzero value downstream."""
-    if entry.grad is None:
-        entry.grad = g
     else:
         entry.grad += g
 
@@ -113,9 +104,6 @@ class Tensor:
         return self.values.shape
 
     accumulate = _accumulate
-    # a leaf's gradient outlives backward, so it keeps the copy, which turns
-    # -0.0 into +0.0 and a 0-d result into an array: its bits never change
-    adopt = _accumulate
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -144,7 +132,6 @@ class _TapeEntry:
         self.backward_fn = backward_fn
 
     accumulate = _accumulate
-    adopt = _adopt
 
 
 def _as_tensor(x) -> Tensor:
@@ -269,9 +256,9 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         if ea is not None:
-            ea.adopt(_unbroadcast(g * bv, ea.shape))
+            ea.accumulate(_unbroadcast(g * bv, ea.shape))
         if eb is not None:
-            eb.adopt(_unbroadcast(g * av, eb.shape))
+            eb.accumulate(_unbroadcast(g * av, eb.shape))
 
     return _node(av * bv, (ea, eb), bw, "mul")
 
@@ -282,7 +269,7 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
 
     def bw(g):
-        ea.adopt(g * c)
+        ea.accumulate(g * c)
 
     return _node(a.values * c, (ea,), bw, "scale")
 
@@ -294,9 +281,9 @@ def matmul(a, b) -> Tensor:
 
     def bw(g):
         if ea is not None:
-            ea.adopt(g @ bv.T)
+            ea.accumulate(g @ bv.T)
         if eb is not None:
-            eb.adopt(av.T @ g)
+            eb.accumulate(av.T @ g)
 
     return _node(av @ bv, (ea, eb), bw, "matmul")
 
@@ -339,7 +326,7 @@ def sigmoid(a) -> Tensor:
     s = _sigmoid_values(a.values)
 
     def bw(g):
-        ea.adopt(_sigmoid_grad(g, s))
+        ea.accumulate(_sigmoid_grad(g, s))
 
     return _node(s, (ea,), bw, "sigmoid")
 
@@ -352,7 +339,7 @@ def silu(a) -> Tensor:
     s = _sigmoid_values(x)
 
     def bw(g):
-        ea.adopt(g * (s + x * s * (1.0 - s)))
+        ea.accumulate(g * (s + x * s * (1.0 - s)))
 
     return _node(x * s, (ea,), bw, "silu")
 
@@ -363,7 +350,9 @@ def softplus(a) -> Tensor:
     x = a.values
 
     def bw(g):
-        ea.accumulate(g / (1.0 + np.exp(-x)))
+        with np.errstate(over="ignore"):  # exp(-x) = inf gives g / inf = 0, its limit
+            denom = 1.0 + np.exp(-x)
+        ea.accumulate(g / denom)
 
     return _node(np.logaddexp(0.0, x), (ea,), bw, "softplus")
 
@@ -462,7 +451,7 @@ def _layer_norm_backward(g, xhat, inv, gain, eg, eb, want_input: bool, out: np.n
     xhat * mean(gh * xhat)) * inv, gh = g * gain, formed in ``out`` (which
     may be ``g``) or a new buffer, plus one temporary."""
     if eg is not None:
-        eg.adopt(_unbroadcast(g * xhat, eg.shape))
+        eg.accumulate(_unbroadcast(g * xhat, eg.shape))
     if eb is not None:
         eb.accumulate(_unbroadcast(g, eb.shape))
     if not want_input:
@@ -486,7 +475,7 @@ def layer_norm(a, gain, bias) -> Tensor:
     def bw(g):
         g_in = _layer_norm_backward(g, xhat, inv, gv, eg, eb, ea is not None)
         if ea is not None:
-            ea.adopt(g_in)
+            ea.accumulate(g_in)
 
     out = xhat * gv
     out += bias.values
@@ -537,7 +526,7 @@ def batch_norm(a, gamma, beta, state: BatchNormState, training: bool) -> Tensor:
     def bw(g):
         g_in = _layer_norm_backward(g, xhat, inv, gv, eg, eb, ea is not None and training, axis=0)
         if ea is not None:
-            ea.adopt(g_in if training else g * gv * inv)
+            ea.accumulate(g_in if training else g * gv * inv)
 
     return _node(xhat * gv + beta.values, (ea, eg, eb), bw, "batch_norm")
 
@@ -586,7 +575,7 @@ def gather_rows(a, index) -> Tensor:
     index = np.asarray(index, dtype=int)
 
     def bw(g):
-        ea.adopt(_segment_sum_np(g, index, ea.shape[0]))
+        ea.accumulate(_segment_sum_np(g, index, ea.shape[0]))
 
     return _node(a.values[index], (ea,), bw, "gather_rows")
 
@@ -602,7 +591,7 @@ def scatter_sum(a, index, num_rows: int) -> Tensor:
     index = np.asarray(index, dtype=int)
 
     def bw(g):
-        ea.adopt(g[index])
+        ea.accumulate(g[index])
 
     return _node(_segment_sum_np(a.values, index, num_rows), (ea,), bw, "scatter_sum")
 
@@ -614,10 +603,10 @@ def _pair_rows(x: np.ndarray, e: np.ndarray, src: np.ndarray, dst: np.ndarray) -
 
 def _pair_rows_backward(ex, ee, g_pair: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
     """Pass the (E, 3, d) gradient of ``_pair_rows(x, e, src, dst)`` to the
-    entries of ``x`` (a segment sum per side) and ``e`` (copied)."""
+    entries of ``x`` (a segment sum per side) and ``e``."""
     if ex is not None:
-        ex.adopt(_segment_sum_np(g_pair[:, 0], dst, ex.shape[0]))
-        ex.adopt(_segment_sum_np(g_pair[:, 1], src, ex.shape[0]))
+        ex.accumulate(_segment_sum_np(g_pair[:, 0], dst, ex.shape[0]))
+        ex.accumulate(_segment_sum_np(g_pair[:, 1], src, ex.shape[0]))
     if ee is not None:
         ee.accumulate(g_pair[:, 2])
 
@@ -638,7 +627,7 @@ def _pair_product_backward(eq, ek, ee, g, qv, kv, ev, src, dst) -> None:
     g3 = g.reshape(n_edges, 3, d)
     if eq is not None:
         prod = g3 * _pair_rows(kv, ev, src, dst).reshape(n_edges, 3, d)
-        eq.adopt(_segment_sum_np(prod.sum(axis=1), dst, qv.shape[0]))
+        eq.accumulate(_segment_sum_np(prod.sum(axis=1), dst, qv.shape[0]))
     _pair_rows_backward(ek, ee, g3 * np.take(qv, dst, axis=0)[:, None, :], src, dst)
 
 
@@ -671,7 +660,7 @@ def _gated_pair_backward(g, gate, vv, e_v, wv, src, dst, ev, ee, ew, want_gate: 
     _pair_rows_backward(ev, ee, g_prod.reshape(len(dst), 3, -1), src, dst)
     if ew is not None:
         pair *= gate
-        ew.adopt(pair.T @ g)
+        ew.accumulate(pair.T @ g)
     return g_gate
 
 
@@ -691,7 +680,7 @@ def gated_pair_matmul(gate, v, e, src, dst, w) -> Tensor:
     def bw(g):
         g_gate = _gated_pair_backward(g, gv, vv, e_v, wv, src, dst, ev, ee, ew, eg is not None)
         if eg is not None:
-            eg.adopt(_unbroadcast(g_gate, eg.shape))
+            eg.accumulate(_unbroadcast(g_gate, eg.shape))
 
     prod = _pair_rows(vv, e_v, src, dst)
     prod *= gv

@@ -9,8 +9,7 @@ import pytest
 from matformer import io
 from matformer.cli import main
 from matformer.model import Matformer, ModelConfig
-from matformer.synthetic import random_corpus
-from matformer.training import evaluate
+from matformer.synthetic import mean_lattice_length, random_corpus
 from oracles import write_targets_csv
 
 CUBE_POSCAR = """hydrogen cube
@@ -195,42 +194,55 @@ class TestTrainPredict:
         assert len(lines) == 2
 
     def test_test_split_is_predicted_from_the_best_model_not_its_checkpoint(self, tmp_path, monkeypatch):
+        # at this size a batched forward of the 18 test crystals differs from
+        # one crystal per forward in the last place of some rows
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
-                       "model.readout_hidden=4\ntrain.epochs=2\ntrain.batch_size=4\n")
+        cfg.write_text("model.n_layers=2\nmodel.n_heads=2\nmodel.d_model=16\nmodel.rbf_kernels=16\n"
+                       "model.readout_hidden=16\ntrain.epochs=1\ntrain.batch_size=8\n")
 
         def refuse(data):
             raise AssertionError("train decoded the checkpoint it had just encoded")
 
         monkeypatch.setattr(Matformer, "from_checkpoint", refuse)
         run_dir = tmp_path / "run"
-        assert main(["train", "--synthetic", "8", "--config", str(cfg), "--out-dir", str(run_dir),
-                     "--val-fraction", "0.25", "--test-fraction", "0.25"]) == 0
+        assert main(["train", "--synthetic", "60", "--config", str(cfg), "--out-dir", str(run_dir),
+                     "--test-fraction", "0.3"]) == 0
         monkeypatch.undo()
-        # the predictions the written checkpoint gives, bit for bit
-        checkpoint = json.loads((run_dir / "checkpoint.json").read_text())
-        best, scale = Matformer.from_checkpoint(checkpoint), checkpoint["target_scale"]
-        crystals = {f"syn-{i:04d}": c for i, c in enumerate(random_corpus(8, seed=0))}  # train's --synthetic ids
+        # the rows `matformer predict` writes from the checkpoint, bit for bit
+        data = tmp_path / "data"
+        data.mkdir()
+        crystals = random_corpus(60, seed=0)  # train's --synthetic crystals, ids syn-0000 ...
+        for i, crystal in enumerate(crystals):
+            (data / f"syn-{i:04d}.json").write_text(io.write_crystal_json(crystal))
+        targets = tmp_path / "targets.csv"
+        targets.write_text(write_targets_csv([(f"syn-{i:04d}", mean_lattice_length(c)) for i, c in enumerate(crystals)]))
+        out = tmp_path / "predict.csv"
+        assert main(["predict", "--checkpoint", str(run_dir / "checkpoint.json"), "--data", str(data),
+                     "--targets", str(targets), "--out", str(out)]) == 0
+        predicted = {row["id"]: row for row in csv.DictReader(out.read_text().splitlines())}
         rows = list(csv.DictReader((run_dir / "predictions.csv").read_text().splitlines()))
-        assert len(rows) == 2
-        want = evaluate(best, [best.prepare(crystals[row["id"]]) for row in rows]) * scale["std"] + scale["mean"]
-        assert [float(row["prediction"]) for row in rows] == want.tolist()
+        assert len(rows) == 18
+        assert rows == [predicted[row["id"]] for row in rows]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_training_exits_two_with_one_line(self, tmp_path, capsys):
         # at lr_max 1e12 a gradient grows past sqrt(float max) in the second epoch,
-        # where its square would overflow Adam's second moment; the sigmoid's
-        # overflowing exp on the way there warns no more
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
-                       "model.readout_hidden=4\ntrain.epochs=2\ntrain.batch_size=4\ntrain.lr_max=1e12\n")
-        with pytest.raises(SystemExit) as err:
-            main(["train", "--synthetic", "12", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
-        assert err.value.code == 2
-        assert re.fullmatch(r"cannot train: epoch 1 step 3: non-finite gradient for parameter 'embed\.node\.w', "
-                            r"or one whose square would overflow Adam's second moment \(max \|g\| = .*\); "
-                            r"step rejected\n", capsys.readouterr().err)
-        assert not (tmp_path / "run").exists()
+        # where its square would overflow Adam's second moment; the overflowing
+        # exp on the way there, the sigmoid's or the one in softplus's backward,
+        # warns no more
+        for activation in ("silu", "softplus"):
+            cfg = tmp_path / f"{activation}.cfg"
+            cfg.write_text("model.n_layers=1\nmodel.n_heads=1\nmodel.d_model=4\nmodel.rbf_kernels=4\n"
+                           f"model.readout_hidden=4\nmodel.activation={activation}\ntrain.epochs=2\n"
+                           "train.batch_size=4\ntrain.lr_max=1e12\n")
+            run_dir = tmp_path / activation
+            with pytest.raises(SystemExit) as err:
+                main(["train", "--synthetic", "12", "--config", str(cfg), "--out-dir", str(run_dir)])
+            assert err.value.code == 2
+            assert re.fullmatch(r"cannot train: epoch 1 step 3: non-finite gradient for parameter 'embed\.node\.w', "
+                                r"or one whose square would overflow Adam's second moment \(max \|g\| = .*\); "
+                                r"step rejected\n", capsys.readouterr().err)
+            assert not run_dir.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_targets_past_the_float_range_exit_two_with_one_line(self, tmp_path, capsys):

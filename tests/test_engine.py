@@ -123,6 +123,13 @@ class TestBackwardBasics:
         backward(out)
         assert np.allclose(w.grad, 2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_softplus_gradient_at_a_huge_negative_input_is_its_limit_without_a_warning(self):
+        # exp(800) overflows in the backward's 1 + exp(-x); g / inf is 0, the limit
+        x = Tensor(np.array([-800.0, 0.0, 3.0]), requires_grad=True)
+        backward(engine.tensor_sum(engine.softplus(x)))
+        assert np.array_equal(x.grad, [0.0, 0.5, 1.0 / (1.0 + np.exp(-3.0))])
+
 
 class TestTapeRelease:
     """backward frees the tape: only leaves keep gradients, one backward per graph."""
@@ -295,8 +302,8 @@ class TestUnchecked:
             engine.exp(Tensor(np.array([1e6])))
 
 
-class TestAdoptedGradients:
-    """A slot takes over an array its closure allocated; a g that other slots may get is copied."""
+class TestGradientSlots:
+    """A slot's first gradient is a copy of what its consumer hands on; later ones are added in place."""
 
     def test_the_two_inputs_of_an_add_get_separate_arrays(self):
         p, q = param((3, 4)), param((3, 4))
