@@ -28,6 +28,7 @@ from .graphs import (
     build_t_fully_connected,
     grow_candidates,
     image_box,
+    image_offsets,
     neighbor_candidates,
 )
 from .io import crystal_to_dict
@@ -272,8 +273,7 @@ def knn_distance_only_builder(crystal: Crystal, k: int, perturbation_seed: int =
     frac = crystal.frac_coords
     rng = np.random.default_rng(perturbation_seed)
     r, _ = grow_candidates(crystal, k)
-    box = np.stack(np.meshgrid(*(np.arange(-b, b + 1) for b in image_box(crystal.lattice, r)), indexing="ij"),
-                   axis=-1).reshape(-1, 3)
+    box = image_offsets(image_box(crystal.lattice, r))
     j = np.repeat(np.arange(n), len(box))
     columns = []
     node_radii = np.zeros(n)

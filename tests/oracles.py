@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's enumeration machinery: plain triple
 loops over a fixed image box, working on raw Cartesian positions, and the
-slow textbook forms of formulas the library computes another way.  The loop
+slow textbook forms of formulas the library computes another way.  The
+dense image grid the neighbor search once built, with a stacked product
+and ``np.linalg.norm``, holds the search to its arrays bit for bit.  The loop
 references at the end build whole graphs one edge at a time, as the
 negative controls and the self-edge merge once did, and must agree with the
 array builders edge for edge and bit for bit; the audit's signatures follow
@@ -37,6 +39,7 @@ from matformer.graphs import (
     Edge,
     GraphMeta,
     grow_candidates,
+    image_box,
     neighbor_candidates,
     self_connecting_distances,
 )
@@ -99,6 +102,26 @@ def loose_image_bound(lattice, r):
     """Per-axis bound ceil(r / spacing_i): an image within r of an atom whose
     fractional difference from it lies in (-1, 1) has |k_i| <= bound_i + 1."""
     return tuple(int(np.ceil(r / d)) for d in cross_product_spacings(lattice))
+
+
+def dense_grid_candidates(crystal, r):
+    """``graphs.neighbor_candidates`` as the library first wrote it: a stacked
+    (n, n, P, 3) product with the lattice, ``np.linalg.norm`` over its last
+    axis and an (n, n, P) mask for the zero self pair.  The search must
+    return these arrays bit for bit and in this order."""
+    n = crystal.n_atoms
+    bound = image_box(crystal.lattice, r)
+    offs = np.stack(np.meshgrid(*(np.arange(-k, k + 1) for k in bound), indexing="ij"), axis=-1).reshape(-1, 3)
+    frac = crystal.frac_coords
+    diff = frac[None, :, :] - frac[:, None, :]  # f_src - f_dst
+    base = np.floor(diff + 0.5)
+    recentred = diff - base
+    vecs = (recentred[:, :, None, :] + offs[None, None, :, :]) @ crystal.lattice
+    dist = np.linalg.norm(vecs, axis=-1)
+    zero_self = np.eye(n, dtype=bool)[:, :, None] & (dist < 1e-12)
+    dst, src, p = np.nonzero((dist <= r) & ~zero_self)
+    image = (offs[p] - base[dst, src]).astype(int)
+    return dst, src, image, dist[dst, src, p]
 
 
 def one_hot_atoms(atomic_numbers, dim=119):

@@ -18,6 +18,7 @@ from matformer.graphs import (
     add_self_connecting_edges,
     build_radius_graph,
     build_t_fully_connected,
+    grow_candidates,
     image_box,
     interplanar_spacings,
     lattice_gram_from_six,
@@ -31,6 +32,7 @@ from oracles import (
     brute_image_distances,
     brute_radius_edges,
     cross_product_spacings,
+    dense_grid_candidates,
     loose_image_bound,
 )
 
@@ -189,9 +191,54 @@ class TestNeighborCandidates:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 2**20
+        assert peak < 128 * 2**20
         assert graph.n_nodes == 1029
         assert min(np.bincount(graph.edges.dst, minlength=1029)) >= 12
+
+
+def assert_same_candidates(got, want):
+    """Equal candidate arrays: the same values, dtypes and order."""
+    assert len(got) == len(want) == 4
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+class TestDenseGridOracle:
+    """The search returns the dense-grid reference's arrays bit for bit: its
+    flat matmul and summed squares give the stacked product's and the
+    norm's bits."""
+
+    @given(triclinic_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_triclinic_cells(self, case):
+        assert_same_candidates(neighbor_candidates(*case), dense_grid_candidates(*case))
+
+    @pytest.mark.parametrize("r", [0.4, 1.0, 2.5, 6.0])
+    def test_one_atom_cell(self, r):
+        c = crystal_from_frac([1], [[0.2, 0.7, 0.4]], HEX_LATTICE)
+        assert_same_candidates(neighbor_candidates(c, r), dense_grid_candidates(c, r))
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 4, 8, 16])
+    def test_one_offset_supercells(self, n_atoms):
+        # 2x2x2 supercells of 8 to 128 atoms, unwrapped, at a radius under
+        # half the smallest spacing: the (n, n, 1, 3) grid of one offset
+        rng = np.random.default_rng(n_atoms)
+        c = supercell(random_crystal(rng, n_atoms=n_atoms), (2, 2, 2))
+        c = shift_boundary(c, rng.uniform(-2.0, 2.0, 3) @ c.lattice)
+        r = 0.49 * interplanar_spacings(c.lattice).min()
+        assert image_box(c.lattice, r) == (0, 0, 0)
+        assert_same_candidates(neighbor_candidates(c, r), dense_grid_candidates(c, r))
+
+    def test_sheared_basis(self):
+        # the 4-atom cell in the basis sheared by M = [[1,10,0],[0,1,10],[0,0,1]],
+        # at its 12-neighbor radius: a long thin box of offsets
+        base = random_crystal(np.random.default_rng(0), n_atoms=4)
+        shear = np.array([[1.0, 10.0, 0.0], [0.0, 1.0, 10.0], [0.0, 0.0, 1.0]])
+        c = dataclasses.replace(base, lattice=shear @ base.lattice)
+        r, _ = grow_candidates(c, 12)
+        assert max(image_box(c.lattice, r)) > 10
+        assert_same_candidates(neighbor_candidates(c, r), dense_grid_candidates(c, r))
 
 
 class TestAdaptiveRadius:
