@@ -228,6 +228,12 @@ def _predict_rows(model: Matformer, scale: dict, items) -> list[tuple[str, float
 
 
 def cmd_train(args) -> int:
+    for flag, value in (("--val-fraction", args.val_fraction), ("--test-fraction", args.test_fraction)):
+        if not 0 <= value < 1:  # true of nan too, which fails every comparison
+            raise CannotRun(f"{flag} must be a fraction in [0, 1), got {value}")
+    if args.val_fraction + args.test_fraction >= 1:
+        raise CannotRun(f"--val-fraction {args.val_fraction} and --test-fraction {args.test_fraction} "
+                        "sum to 1 or more: no crystal is left to train on")
     mapping = _parse_file(args.config, io.parse_run_config) if args.config else {}
     model_config, train_config = _run_configs(mapping)
 

@@ -109,29 +109,23 @@ class GraphEmbedding:
         self.lo = lo
         self.hi = hi
         self.activation = activation
-        self.node_w = init.weight((ATOM_DIM, d_model), ATOM_DIM)
-        self.node_b = init.zeros(d_model)
-        self.edge_w1 = init.weight((n_kernels, d_model), n_kernels)
-        self.edge_b1 = init.zeros(d_model)
-        self.edge_w2 = init.weight((d_model, d_model), d_model)
-        self.edge_b2 = init.zeros(d_model)
-
-    def parameters(self, prefix: str = "embed") -> dict[str, Tensor]:
-        return {
-            f"{prefix}.node.w": self.node_w,
-            f"{prefix}.node.b": self.node_b,
-            f"{prefix}.edge.w1": self.edge_w1,
-            f"{prefix}.edge.b1": self.edge_b1,
-            f"{prefix}.edge.w2": self.edge_w2,
-            f"{prefix}.edge.b2": self.edge_b2,
+        self.params: dict[str, Tensor] = {
+            "node.w": init.weight((ATOM_DIM, d_model), ATOM_DIM), "node.b": init.zeros(d_model),
+            "edge.w1": init.weight((n_kernels, d_model), n_kernels), "edge.b1": init.zeros(d_model),
+            "edge.w2": init.weight((d_model, d_model), d_model), "edge.b2": init.zeros(d_model),
         }
 
+    def parameters(self, prefix: str = "embed") -> dict[str, Tensor]:
+        return {f"{prefix}.{name}": tensor for name, tensor in self.params.items()}
+
     def node_input(self, prepared: PreparedGraph) -> Tensor:
-        # bit for bit one_hot(z) @ node_w + node_b: each row's sum has one nonzero term
-        return engine.add(engine.gather_rows(self.node_w, prepared.atomic_numbers), self.node_b)
+        # bit for bit one_hot(z) @ node.w + node.b: each row's sum has one nonzero term
+        p = self.params
+        return engine.add(engine.gather_rows(p["node.w"], prepared.atomic_numbers), p["node.b"])
 
     def edge_input(self, prepared: PreparedGraph) -> Tensor:
         act = engine.ACTIVATIONS[self.activation]
+        p = self.params
         rbf = rbf_expand(prepared.distance, n_kernels=self.n_kernels, lo=self.lo, hi=self.hi)
-        h = act(engine.linear(Tensor(rbf), self.edge_w1, self.edge_b1))
-        return engine.linear(h, self.edge_w2, self.edge_b2)
+        h = act(engine.linear(Tensor(rbf), p["edge.w1"], p["edge.b1"]))
+        return engine.linear(h, p["edge.w2"], p["edge.b2"])

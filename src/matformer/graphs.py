@@ -186,19 +186,20 @@ def neighbor_candidates(crystal: Crystal, r: float):
     integer base offset recentres each fractional difference into
     [-0.5, 0.5), and the scan covers ``image_box(lattice, r)`` around it.
     Raises ``ValueError`` before allocating when the estimated peak exceeds
-    ``MAX_GRID_BYTES``.  The estimate allows 2.8 times the float64 image
-    grid (n, n, P, 3).  The peak is at the one matmul, where the grid, its
-    product with the lattice and the (n, n, 3) base offsets are alive: about
-    (2 + 1/P) times the grid, measured with ``tracemalloc``.  So a one-offset
-    box (P = 1) peaks at 3 times the grid, about 7% over the estimate.
+    ``MAX_GRID_BYTES``.  The peak is at the one matmul, where the float64
+    image grid (n, n, P, 3), its product with the lattice and the (n, n, 3)
+    base offsets are alive: 48 P + 24 bytes per atom pair, measured with
+    ``tracemalloc``.  The estimate, 67 P + 24 bytes per pair, is above that
+    for every box, the one-offset box (72 bytes at peak) included.
     """
     n = crystal.n_atoms
     # one inverse serves the box and the fractional coordinates, the same
     # bits as ``image_box(lattice, r)`` and ``crystal.frac_coords``
     inverse = np.linalg.inv(crystal.lattice)
     bound = _box(_spacings(inverse), r)
-    # eight float64s and three bool masks per (dst, src, offset) triple at peak
-    peak_bytes = n * n * math.prod(2 * k + 1 for k in bound) * (8 * 8 + 3)
+    # eight float64s and three bool masks per (dst, src, offset) triple, and
+    # three float64 base offsets per (dst, src) pair
+    peak_bytes = n * n * (math.prod(2 * k + 1 for k in bound) * (8 * 8 + 3) + 3 * 8)
     if peak_bytes > MAX_GRID_BYTES:
         raise ValueError(
             f"neighbor search over {n} atoms at r={r:.3f} would need {peak_bytes / 2**20:.0f} MiB "

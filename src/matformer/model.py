@@ -78,7 +78,11 @@ def attention_gate(alpha: Tensor, dst, n_nodes: int, variant: str) -> Tensor:
 
 
 class MatformerLayer:
-    """Parameters and forward pass of one message-passing layer."""
+    """Parameters and forward pass of one message-passing layer.
+
+    ``params`` holds each parameter once, under its checkpoint name within
+    the layer, in the order the initializer draws them.
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | engine.ParameterInit):
         d = config.d_model
@@ -86,84 +90,59 @@ class MatformerLayer:
         self.config = config
         init = engine.ParameterInit(rng)
         weight, zeros, ones = init.weight, init.zeros, init.ones
-        self.heads = []
-        for _ in range(h):
-            self.heads.append(
-                {
-                    "q_w": weight((d, d), d), "q_b": zeros(d),
-                    "k_w": weight((d, d), d), "k_b": zeros(d),
-                    "v_w": weight((d, d), d), "v_b": zeros(d),
-                    "e_w": weight((d, d), d), "e_b": zeros(d),
-                    "upd_w": weight((3 * d, d), 3 * d), "upd_b": zeros(d),
-                    "msg_w": weight((d, d), d), "msg_b": zeros(d),
-                }
-            )
-        self.alpha_ln_gain = ones(3 * d)
-        self.alpha_ln_bias = zeros(3 * d)
-        self.msg_ln_gain = ones(d)
-        self.msg_ln_bias = zeros(d)
-        self.merge_w = weight((h * d, d), h * d)
-        self.merge_b = zeros(d)
-        self.fea_w = weight((d, d), d)
-        self.fea_b = zeros(d)
-        self.bn_gamma = ones(d)
-        self.bn_beta = zeros(d)
+        self.params: dict[str, Tensor] = {}
+        for idx in range(h):
+            for name, fan_in in (("q", d), ("k", d), ("v", d), ("e", d), ("upd", 3 * d), ("msg", d)):
+                self.params[f"head{idx}.{name}_w"] = weight((fan_in, d), fan_in)
+                self.params[f"head{idx}.{name}_b"] = zeros(d)
+        self.params.update({
+            "alpha_ln.gain": ones(3 * d), "alpha_ln.bias": zeros(3 * d),
+            "msg_ln.gain": ones(d), "msg_ln.bias": zeros(d),
+            "merge.w": weight((h * d, d), h * d), "merge.b": zeros(d),
+            "fea.w": weight((d, d), d), "fea.b": zeros(d),
+            "bn.gamma": ones(d), "bn.beta": zeros(d),
+        })
         self.bn_state = BatchNormState.create(d)
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for idx, head in enumerate(self.heads):
-            for key, tensor in head.items():
-                out[f"{prefix}.head{idx}.{key}"] = tensor
-        out.update(
-            {
-                f"{prefix}.alpha_ln.gain": self.alpha_ln_gain,
-                f"{prefix}.alpha_ln.bias": self.alpha_ln_bias,
-                f"{prefix}.msg_ln.gain": self.msg_ln_gain,
-                f"{prefix}.msg_ln.bias": self.msg_ln_bias,
-                f"{prefix}.merge.w": self.merge_w,
-                f"{prefix}.merge.b": self.merge_b,
-                f"{prefix}.fea.w": self.fea_w,
-                f"{prefix}.fea.b": self.fea_b,
-                f"{prefix}.bn.gamma": self.bn_gamma,
-                f"{prefix}.bn.beta": self.bn_beta,
-            }
-        )
-        return out
+        return {f"{prefix}.{name}": tensor for name, tensor in self.params.items()}
 
     def aggregate_messages(self, node_feats: Tensor, edge_feats: Tensor, src, dst) -> Tensor:
         """Merged per-node message m_i, before batch norm and the residual."""
         n_nodes = node_feats.shape[0]
         d_k = 3 * self.config.d_model
         variant = self.config.attention_variant
+        p = self.params
 
         head_outputs = []
-        for head in self.heads:
-            q = engine.linear(node_feats, head["q_w"], head["q_b"])
-            k = engine.linear(node_feats, head["k_w"], head["k_b"])
-            v = engine.linear(node_feats, head["v_w"], head["v_b"])
-            e = engine.linear(edge_feats, head["e_w"], head["e_b"])
+        for idx in range(self.config.n_heads):
+            head = f"head{idx}."
+            q = engine.linear(node_feats, p[head + "q_w"], p[head + "q_b"])
+            k = engine.linear(node_feats, p[head + "k_w"], p[head + "k_b"])
+            v = engine.linear(node_feats, p[head + "v_w"], p[head + "v_b"])
+            e = engine.linear(edge_feats, p[head + "e_w"], p[head + "e_b"])
             if variant == "sigmoid_norm":
-                message = engine.sigmoid_norm_message(q, k, v, e, self.alpha_ln_gain, self.alpha_ln_bias,
-                                                      head["upd_w"], src, dst)
+                message = engine.sigmoid_norm_message(q, k, v, e, p["alpha_ln.gain"], p["alpha_ln.bias"],
+                                                      p[head + "upd_w"], src, dst)
             else:
                 alpha = engine.scale(engine.pair_product(q, k, e, src, dst), 1.0 / math.sqrt(d_k))
                 gate = attention_gate(alpha, dst, n_nodes, variant)
-                message = engine.gated_pair_matmul(gate, v, e, src, dst, head["upd_w"])
-            message = engine.add(message, head["upd_b"])
+                message = engine.gated_pair_matmul(gate, v, e, src, dst, p[head + "upd_w"])
+            message = engine.add(message, p[head + "upd_b"])
             message = engine.layer_norm(
-                engine.linear(message, head["msg_w"], head["msg_b"]),
-                self.msg_ln_gain, self.msg_ln_bias,
+                engine.linear(message, p[head + "msg_w"], p[head + "msg_b"]),
+                p["msg_ln.gain"], p["msg_ln.bias"],
             )
             head_outputs.append(engine.scatter_sum(message, dst, n_nodes))
 
-        return engine.linear(engine.concat(head_outputs, axis=1), self.merge_w, self.merge_b)
+        return engine.linear(engine.concat(head_outputs, axis=1), p["merge.w"], p["merge.b"])
 
     def forward(self, node_feats: Tensor, edge_feats: Tensor, src, dst, training: bool = False) -> Tensor:
         act = engine.ACTIVATIONS[self.config.activation]
+        p = self.params
         merged = self.aggregate_messages(node_feats, edge_feats, src, dst)
-        normed = engine.batch_norm(merged, self.bn_gamma, self.bn_beta, self.bn_state, training)
-        return engine.add(engine.linear(node_feats, self.fea_w, self.fea_b), act(normed))
+        normed = engine.batch_norm(merged, p["bn.gamma"], p["bn.beta"], self.bn_state, training)
+        return engine.add(engine.linear(node_feats, p["fea.w"], p["fea.b"]), act(normed))
 
 
 class Matformer:
@@ -179,23 +158,17 @@ class Matformer:
             activation=c.activation, rng=init,
         )
         self.layers = [MatformerLayer(c, init) for _ in range(c.n_layers)]
-        self.readout_w1 = init.weight((c.d_model, c.readout_hidden), c.d_model)
-        self.readout_b1 = init.zeros(c.readout_hidden)
-        self.readout_w2 = init.weight((c.readout_hidden, 1), c.readout_hidden)
-        self.readout_b2 = init.zeros(1)
+        self.readout: dict[str, Tensor] = {
+            "w1": init.weight((c.d_model, c.readout_hidden), c.d_model), "b1": init.zeros(c.readout_hidden),
+            "w2": init.weight((c.readout_hidden, 1), c.readout_hidden), "b2": init.zeros(1),
+        }
 
     def parameters(self) -> dict[str, Tensor]:
-        params = dict(self.embedding.parameters("embed"))
+        """Every parameter under its checkpoint name, in draw order."""
+        params = self.embedding.parameters("embed")
         for idx, layer in enumerate(self.layers):
             params.update(layer.parameters(f"layer{idx}"))
-        params.update(
-            {
-                "readout.w1": self.readout_w1,
-                "readout.b1": self.readout_b1,
-                "readout.w2": self.readout_w2,
-                "readout.b2": self.readout_b2,
-            }
-        )
+        params.update({f"readout.{name}": tensor for name, tensor in self.readout.items()})
         return params
 
     def zero_grad(self) -> None:
@@ -238,8 +211,9 @@ class Matformer:
             node = layer.forward(node, edge, prepared.src, prepared.dst, training)
         pooled = engine.segment_mean(node, prepared.graph_ids, prepared.n_graphs)
         act = engine.ACTIVATIONS[self.config.activation]
-        hidden = act(engine.linear(pooled, self.readout_w1, self.readout_b1))
-        return engine.linear(hidden, self.readout_w2, self.readout_b2)
+        r = self.readout
+        hidden = act(engine.linear(pooled, r["w1"], r["b1"]))
+        return engine.linear(hidden, r["w2"], r["b2"])
 
     def predict(self, crystal: Crystal) -> float:
         """Eval-mode prediction for one crystal, computed without a tape."""

@@ -394,21 +394,23 @@ def composed_aggregate_messages(layer, node_feats, edge_feats, src, dst):
     """``MatformerLayer.aggregate_messages`` with the composed pair chains."""
     n_nodes = node_feats.shape[0]
     d_k = 3 * layer.config.d_model
+    p = layer.params
     head_outputs = []
-    for head in layer.heads:
-        q = engine.linear(node_feats, head["q_w"], head["q_b"])
-        k = engine.linear(node_feats, head["k_w"], head["k_b"])
-        v = engine.linear(node_feats, head["v_w"], head["v_b"])
-        e = engine.linear(edge_feats, head["e_w"], head["e_b"])
+    for idx in range(layer.config.n_heads):
+        head = f"head{idx}."
+        q = engine.linear(node_feats, p[head + "q_w"], p[head + "q_b"])
+        k = engine.linear(node_feats, p[head + "k_w"], p[head + "k_b"])
+        v = engine.linear(node_feats, p[head + "v_w"], p[head + "v_b"])
+        e = engine.linear(edge_feats, p[head + "e_w"], p[head + "e_b"])
         if layer.config.attention_variant == "sigmoid_norm":
-            message = composed_sigmoid_norm_message(q, k, v, e, layer.alpha_ln_gain, layer.alpha_ln_bias,
-                                                    head["upd_w"], src, dst)
+            message = composed_sigmoid_norm_message(q, k, v, e, p["alpha_ln.gain"], p["alpha_ln.bias"],
+                                                    p[head + "upd_w"], src, dst)
         else:
             alpha = engine.scale(composed_pair_product(q, k, e, src, dst), 1.0 / math.sqrt(d_k))
             gate = attention_gate(alpha, dst, n_nodes, layer.config.attention_variant)
-            message = composed_gated_pair_matmul(gate, v, e, src, dst, head["upd_w"])
-        message = engine.add(message, head["upd_b"])
-        message = engine.layer_norm(engine.linear(message, head["msg_w"], head["msg_b"]),
-                                    layer.msg_ln_gain, layer.msg_ln_bias)
+            message = composed_gated_pair_matmul(gate, v, e, src, dst, p[head + "upd_w"])
+        message = engine.add(message, p[head + "upd_b"])
+        message = engine.layer_norm(engine.linear(message, p[head + "msg_w"], p[head + "msg_b"]),
+                                    p["msg_ln.gain"], p["msg_ln.bias"])
         head_outputs.append(engine.scatter_sum(message, dst, n_nodes))
-    return engine.linear(engine.concat(head_outputs, axis=1), layer.merge_w, layer.merge_b)
+    return engine.linear(engine.concat(head_outputs, axis=1), p["merge.w"], p["merge.b"])

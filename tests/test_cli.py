@@ -311,7 +311,7 @@ class TestPredictCheckpoint:
 
     def test_non_finite_prediction_exits_naming_the_crystal_and_op(self, corpus_dir, tmp_path):
         model = Matformer(ModelConfig(n_layers=1, n_heads=1, d_model=4, rbf_kernels=4, readout_hidden=4), seed=3)
-        model.readout_w2.values[0, 0] = np.nan
+        model.readout["w2"].values[0, 0] = np.nan
         path = self.write_checkpoint(tmp_path, json.dumps(model.to_checkpoint()))
         with pytest.raises(SystemExit, match=r"^cannot predict c0: non-finite values produced by matmul$"):
             main(["predict", "--checkpoint", path, "--data", corpus_dir])
@@ -390,6 +390,38 @@ class TestRunConfig:
         with pytest.raises(SystemExit, match=r"--val-fraction 0\.1 leaves no validation crystal among 8"):
             main(["train", "--synthetic", "8", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("val, test, message", [
+        ("-0.25", "0.1", "--val-fraction must be a fraction in [0, 1), got -0.25"),
+        ("0.5", "-0.5", "--test-fraction must be a fraction in [0, 1), got -0.5"),
+        ("nan", "0.1", "--val-fraction must be a fraction in [0, 1), got nan"),
+        ("1", "0", "--val-fraction must be a fraction in [0, 1), got 1.0"),
+        ("0.5", "0.5", "--val-fraction 0.5 and --test-fraction 0.5 sum to 1 or more: no crystal is left to train on"),
+    ], ids=["negative-val", "negative-test", "nan-val", "val-of-one", "sum-of-one"])
+    def test_split_fraction_out_of_range_exits_two_with_one_line(self, tmp_path, capsys, val, test, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.TINY)
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--synthetic", "20", "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
+                  "--val-fraction", val, "--test-fraction", test])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_split_fractions_are_checked_before_the_dataset_is_read(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(tmp_path / "missing"), "--targets", str(tmp_path / "missing.csv"),
+                  "--val-fraction", "-0.25"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "--val-fraction must be a fraction in [0, 1), got -0.25\n"
+
+    def test_zero_test_fraction_trains(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.TINY)
+        assert main(["train", "--synthetic", "4", "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
+                     "--val-fraction", "0.5", "--test-fraction", "0"]) == 0
+        assert (tmp_path / "run" / "checkpoint.json").exists()
+        assert not (tmp_path / "run" / "predictions.csv").exists()
 
     def test_rejected_config_value_exits(self, tmp_path):
         self.TINY = self.TINY.replace("model.readout_hidden=4", "model.readout_hidden=0")

@@ -743,8 +743,8 @@ class TestCheckpoint:
 
     def test_exact_round_trip(self):
         model = Matformer(self.CONFIG, seed=0)
-        model.readout_w1.values = RNG.standard_normal((3, 7)) * 1e3
-        model.readout_b1.values = RNG.standard_normal(7) * 1e-7
+        model.readout["w1"].values = RNG.standard_normal((3, 7)) * 1e3
+        model.readout["b1"].values = RNG.standard_normal(7) * 1e-7
         params = model.parameters()
         text = json.dumps(model.to_checkpoint())
         loaded = Matformer.from_checkpoint(json.loads(text)).parameters()

@@ -165,9 +165,10 @@ class TestAtomLookup:
     def test_rows_equal_one_hot_product(self):
         batch = self.batch()
         emb = GraphEmbedding(d_model=8, n_kernels=8, rng=np.random.default_rng(6))
-        emb.node_b.values = np.random.default_rng(7).standard_normal(8)
+        w, b = emb.params["node.w"], emb.params["node.b"]
+        b.values = np.random.default_rng(7).standard_normal(8)
         got = emb.node_input(batch).values
-        assert np.array_equal(got, one_hot_atoms(batch.atomic_numbers) @ emb.node_w.values + emb.node_b.values)
+        assert np.array_equal(got, one_hot_atoms(batch.atomic_numbers) @ w.values + b.values)
         # one distinct row per species, shared by repeated species
         assert np.array_equal(got[1], got[2]) and np.array_equal(got[0], got[4])
         assert len({row.tobytes() for row in got}) == 3
@@ -178,5 +179,5 @@ class TestAtomLookup:
         g = np.random.default_rng(9).standard_normal((batch.n_nodes, 8))
         engine.tensor_sum(engine.mul(emb.node_input(batch), g)).backward()
         want = one_hot_atoms(batch.atomic_numbers).T @ g
-        assert np.allclose(emb.node_w.grad, want, rtol=0, atol=1e-12)
-        assert np.allclose(emb.node_b.grad, g.sum(axis=0), rtol=0, atol=1e-12)
+        assert np.allclose(emb.params["node.w"].grad, want, rtol=0, atol=1e-12)
+        assert np.allclose(emb.params["node.b"].grad, g.sum(axis=0), rtol=0, atol=1e-12)

@@ -159,7 +159,8 @@ class TestNeighborCandidates:
         return supercell(base, (7, 7, 7))
 
     def test_large_cell_raises_before_allocating(self):
-        # a 686 MiB image grid: under the limit itself, but about 1.8 GiB at peak
+        # a 654 MiB image grid of 27 offsets: under the limit itself, but about
+        # 1.3 GiB at peak (2 + 1/27 times the grid), and 1.8 GiB by the estimate
         big = self.big_cell()
         tracemalloc.start()
         try:

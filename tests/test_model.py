@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -84,7 +85,7 @@ class TestHandTrace:
     def test_layer_matches_straight_line_trace(self):
         cfg = ModelConfig(n_layers=1, n_heads=1, d_model=2, rbf_kernels=4, readout_hidden=2)
         layer = MatformerLayer(cfg, np.random.default_rng(0))
-        head = layer.heads[0]
+        head = {key.removeprefix("head0."): t for key, t in layer.params.items() if key.startswith("head0.")}
         head["q_w"].values = np.array([[0.5, -0.3], [0.2, 0.4]])
         head["q_b"].values = np.array([0.1, -0.1])
         head["k_w"].values = np.array([[-0.2, 0.6], [0.3, 0.1]])
@@ -99,16 +100,16 @@ class TestHandTrace:
         head["upd_b"].values = np.array([0.02, -0.03])
         head["msg_w"].values = np.array([[0.6, -0.2], [0.1, 0.7]])
         head["msg_b"].values = np.array([0.0, 0.05])
-        layer.alpha_ln_gain.values = np.array([1.0, 0.9, 1.1, 0.8, 1.2, 1.0])
-        layer.alpha_ln_bias.values = np.array([0.0, 0.1, -0.1, 0.05, 0.0, -0.05])
-        layer.msg_ln_gain.values = np.array([1.05, 0.95])
-        layer.msg_ln_bias.values = np.array([0.02, -0.02])
-        layer.merge_w.values = np.array([[0.8, 0.1], [-0.2, 0.9]])
-        layer.merge_b.values = np.array([0.01, 0.02])
-        layer.fea_w.values = np.array([[0.7, 0.2], [0.1, 0.6]])
-        layer.fea_b.values = np.array([0.03, -0.01])
-        layer.bn_gamma.values = np.array([1.1, 0.9])
-        layer.bn_beta.values = np.array([0.05, -0.05])
+        layer.params["alpha_ln.gain"].values = np.array([1.0, 0.9, 1.1, 0.8, 1.2, 1.0])
+        layer.params["alpha_ln.bias"].values = np.array([0.0, 0.1, -0.1, 0.05, 0.0, -0.05])
+        layer.params["msg_ln.gain"].values = np.array([1.05, 0.95])
+        layer.params["msg_ln.bias"].values = np.array([0.02, -0.02])
+        layer.params["merge.w"].values = np.array([[0.8, 0.1], [-0.2, 0.9]])
+        layer.params["merge.b"].values = np.array([0.01, 0.02])
+        layer.params["fea.w"].values = np.array([[0.7, 0.2], [0.1, 0.6]])
+        layer.params["fea.b"].values = np.array([0.03, -0.01])
+        layer.params["bn.gamma"].values = np.array([1.1, 0.9])
+        layer.params["bn.beta"].values = np.array([0.05, -0.05])
         layer.bn_state.running_mean = np.array([0.01, -0.02])
         layer.bn_state.running_var = np.array([1.1, 0.9])
 
@@ -130,15 +131,15 @@ class TestHandTrace:
 
         sig = lambda x: 1.0 / (1.0 + np.exp(-x))
         alpha = np.concatenate([q, q, q], 1) * np.concatenate([k, k, ep], 1) / np.sqrt(6.0)
-        gate = sig(ln(alpha, layer.alpha_ln_gain.values, layer.alpha_ln_bias.values))
+        gate = sig(ln(alpha, layer.params["alpha_ln.gain"].values, layer.params["alpha_ln.bias"].values))
         gated = gate * np.concatenate([v, v, ep], 1)
         m = gated @ head["upd_w"].values + head["upd_b"].values
         m = ln(m @ head["msg_w"].values + head["msg_b"].values,
-               layer.msg_ln_gain.values, layer.msg_ln_bias.values)
-        merged = m @ layer.merge_w.values + layer.merge_b.values
+               layer.params["msg_ln.gain"].values, layer.params["msg_ln.bias"].values)
+        merged = m @ layer.params["merge.w"].values + layer.params["merge.b"].values
         bn = (merged - layer.bn_state.running_mean) / np.sqrt(layer.bn_state.running_var + 1e-5)
-        bn = bn * layer.bn_gamma.values + layer.bn_beta.values
-        expected = fn @ layer.fea_w.values + layer.fea_b.values + bn * sig(bn)
+        bn = bn * layer.params["bn.gamma"].values + layer.params["bn.beta"].values
+        expected = fn @ layer.params["fea.w"].values + layer.params["fea.b"].values + bn * sig(bn)
 
         assert np.allclose(out.values, expected, atol=1e-12)
         assert np.allclose(out.values, self.EXPECTED, atol=1e-9)
@@ -195,7 +196,7 @@ class TestDegreeSensitivity:
     def test_duplicate_edges_double_the_aggregate(self):
         model, prepared = self._setup("sigmoid_norm")
         layer = model.layers[0]
-        layer.merge_b.values = np.zeros_like(layer.merge_b.values)  # keep the map linear
+        layer.params["merge.b"].values = np.zeros_like(layer.params["merge.b"].values)  # keep the map linear
         node = model.embedding.node_input(prepared)
         edge = model.embedding.edge_input(prepared)
         single = layer.aggregate_messages(node, edge, prepared.src, prepared.dst)
@@ -218,7 +219,7 @@ class TestDegreeSensitivity:
     @staticmethod
     def _gated_attention_aggregate(layer, node_vals, edge_vals, src, dst, n_nodes, variant):
         """Per-head attention output sum_j gate o (v_i|v_j|e'), plain numpy."""
-        head = layer.heads[0]
+        head = {key.removeprefix("head0."): t for key, t in layer.params.items() if key.startswith("head0.")}
         q = node_vals @ head["q_w"].values + head["q_b"].values
         k = node_vals @ head["k_w"].values + head["k_b"].values
         v = node_vals @ head["v_w"].values + head["v_b"].values
@@ -236,7 +237,7 @@ class TestDegreeSensitivity:
             mu = alpha.mean(-1, keepdims=True)
             var = alpha.var(-1, keepdims=True)
             ln = (alpha - mu) / np.sqrt(var + 1e-5)
-            ln = ln * layer.alpha_ln_gain.values + layer.alpha_ln_bias.values
+            ln = ln * layer.params["alpha_ln.gain"].values + layer.params["alpha_ln.bias"].values
             gate = 1.0 / (1.0 + np.exp(-ln))
         gated = gate * np.concatenate([v[dst], v[src], e], 1)
         out = np.zeros((n_nodes, gated.shape[1]))
@@ -441,7 +442,14 @@ class TestCheckpointFormat:
         assert data["format_version"] == 2
         entry = data["params"]["readout.w1"]
         assert entry["shape"] == [8, 8]
-        assert base64.b64decode(entry["data"]) == model.readout_w1.values.astype("<f8").tobytes()
+        assert base64.b64decode(entry["data"]) == model.readout["w1"].values.astype("<f8").tobytes()
+
+    def test_fresh_checkpoint_bytes_are_pinned(self):
+        # one digest over the parameter names, their order and the draws that
+        # initialise them, as the file writes them
+        text = json.dumps(Matformer(SMALL, seed=3).to_checkpoint())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f6bc00b2ec0f64e164d45e852cd1a3b01d4df1114d6e65d98ecf85f1dfc65f19")
 
     def test_moved_batch_norm_statistics_survive_exactly(self):
         model = Matformer(SMALL, seed=6)
@@ -658,11 +666,10 @@ class TestCheckedForward:
         engine.silu(Tensor(np.ones(3)))  # outside forward, every op still checks
         assert checked == ["silu"]
 
-    @pytest.mark.parametrize("weight, op", [("readout_w2", "matmul"), ("msg_ln_gain", "layer_norm")])
+    @pytest.mark.parametrize("weight, op", [("readout.w2", "matmul"), ("layer0.msg_ln.gain", "layer_norm")])
     def test_non_finite_prediction_names_the_first_op(self, weight, op):
         model, crystal = self.golden_model()
-        owner = model if weight.startswith("readout") else model.layers[0]
-        getattr(owner, weight).values[0] = np.nan
+        model.parameters()[weight].values[0] = np.nan
         with pytest.raises(FloatingPointError, match=f"non-finite values produced by {op}$"):
             model.predict(crystal)
 

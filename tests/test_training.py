@@ -168,7 +168,7 @@ class TestTrainLoop:
     def test_divergence_aborts_with_diagnostic(self):
         records = make_records(4, seed=3)
         model = Matformer(TINY_MODEL, seed=0)
-        model.readout_w2.values[:] = np.nan
+        model.readout["w2"].values[:] = np.nan
         config = TrainConfig(lr_max=1e-3, epochs=1, batch_size=2, seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch 0 .*produced by matmul"):
             train(model, records, records, config)
@@ -177,7 +177,7 @@ class TestTrainLoop:
         def poisoned_backward(root):
             backward(root)
             if len(counted) == 2:  # the first step of the second epoch: two batches of 2 per epoch
-                model.readout_b2.grad[0] = np.nan
+                model.readout["b2"].grad[0] = np.nan
             counted.append(root)
 
         counted, backward = [], engine.backward
@@ -193,7 +193,7 @@ class TestTrainLoop:
         cubes = [crystal_from_frac([z], [[0, 0, 0]], a * np.eye(3)) for z, a in ((1, 1.0), (1, 1.3), (8, 1.1))]
         records = [DatasetRecord(id=f"c{i}", crystal=c, target=float(i)) for i, c in enumerate(cubes)]
         model = Matformer(TINY_MODEL, seed=0)
-        model.embedding.node_w.values[8] = 1e308
+        model.embedding.params["node.w"].values[8] = 1e308
         config = TrainConfig(lr_max=1e-3, epochs=1, batch_size=2, seed=0)
         with pytest.warns(RuntimeWarning), pytest.raises(
                 TrainingDivergedError, match="^non-finite validation forward at epoch 0: non-finite values produced by"):
