@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -46,10 +47,16 @@ def _load_crystals(paths: list[str]) -> list[tuple[str, "object"]]:
             files.append(path)
     if not files:
         raise CannotRun("no crystal files found")
+    ids: dict[str, str] = {}
+    for path in files:  # an id keys a prediction row and its target
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in ids:
+            raise CannotRun(f"crystal files {ids[name]} and {path} both have id {name!r}")
+        ids[name] = path
     out = []
-    for path in files:
+    for name, path in ids.items():
         try:
-            out.append((os.path.splitext(os.path.basename(path))[0], io.read_crystal(path)))
+            out.append((name, io.read_crystal(path)))
         except (OSError, ValueError) as err:
             raise CannotRun(f"cannot read {path}: {err}") from None
     return out
@@ -212,17 +219,116 @@ def _split(records, val_fraction, test_fraction, seed):
     return pick(train_ids), pick(val_ids), pick(test_ids)
 
 
+def _predict_share(model: Matformer, scale: dict, crystals) -> list[tuple[float, Exception | None]]:
+    """``(prediction, error)`` for each crystal in order, in target units,
+    ending with the first crystal whose forward raises. The error is
+    returned, not raised, so that a forked worker can send it to the parent."""
+    pairs = []
+    for crystal in crystals:
+        try:
+            pairs.append((model.predict(crystal) * scale["std"] + scale["mean"], None))
+        except Exception as err:
+            pairs.append((math.nan, err))
+            break
+    return pairs
+
+
+def _send_share(conn, model: Matformer, scale: dict, crystals) -> None:
+    """A forked worker's body: one share's pairs, sent to the parent."""
+    with conn:
+        conn.send(_predict_share(model, scale, crystals))
+
+
+def _worker_count(n_crystals: int) -> int:
+    """One worker per CPU this process may run on, at most one per crystal;
+    one where the platform has no affinity mask or this process may not
+    fork: a fork copies no other thread, which may hold a lock the child
+    needs, and a daemonic ``multiprocessing`` worker may not have children."""
+    try:
+        workers = min(len(os.sched_getaffinity(0)), n_crystals)
+    except AttributeError:
+        return 1
+    if workers < 2:
+        return 1
+    import multiprocessing  # here, so that a command that forks nothing does not pay for the import
+
+    can_fork = ("fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+                and not multiprocessing.current_process().daemon)
+    return workers if can_fork else 1
+
+
+def _balanced_shares(sizes: list[int], n: int) -> list[list[int]]:
+    """The indices of ``sizes`` in ``n`` shares of about equal total size,
+    largest first into the lightest share so far, each share in input order."""
+    shares: list[list[int]] = [[] for _ in range(n)]
+    totals = [0] * n
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        k = totals.index(min(totals))
+        shares[k].append(i)
+        totals[k] += sizes[i]
+    return [sorted(share) for share in shares]
+
+
+def _predict_shares(model: Matformer, scale: dict, shares: list[list]) -> list[list]:
+    """``_predict_share`` of each share of crystals: the first in this process,
+    each other in a child forked here, which inherits the model and sends
+    back only its pairs. No child outlives the call."""
+    if len(shares) == 1:
+        return [_predict_share(model, scale, shares[0])]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for share in shares[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_share, args=(send, model, scale, share))
+            child.start()
+            send.close()  # so that a child that dies before sending is an EOFError here
+            children.append((child, recv))
+        out = [_predict_share(model, scale, shares[0])]
+        for child, recv in children:
+            try:
+                out.append(recv.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"prediction worker {child.pid} exited with status {child.exitcode} "
+                                   "before sending its predictions") from None
+        return out
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            child.close()
+            recv.close()
+
+
 def _predict_rows(model: Matformer, scale: dict, items) -> list[tuple[str, float, float]]:
     """``(id, prediction, target)`` for each ``(id, crystal, target)``, in target
     units, one crystal per forward: ``train``'s test split and ``predict`` on
     the checkpoint it wrote give the same bits (a batched forward may differ
-    in the last place)."""
+    in the last place).
+
+    The crystals are split into shares of about equal atom count, one per
+    worker (``_worker_count``); each worker runs the same forward, so the
+    bits do not depend on the worker count. The first failing crystal in
+    input order is the one reported.
+    """
+    shares = _balanced_shares([crystal.n_atoms for _, crystal, _ in items], _worker_count(len(items)))
+    crystal_shares = [[items[i][1] for i in share] for share in shares]
+    pairs = {}
+    for share, share_pairs in zip(shares, _predict_shares(model, scale, crystal_shares)):
+        pairs.update(zip(share, share_pairs))  # by position, never by id
     rows = []
-    for name, crystal, target in items:
-        try:
-            pred = model.predict(crystal) * scale["std"] + scale["mean"]
-        except FloatingPointError as err:
+    for i, (name, _, target) in enumerate(items):
+        pred, err = pairs[i]  # a share stops at its first failure, so any index missing follows one
+        if isinstance(err, FloatingPointError):
             raise CannotRun(f"cannot predict {name}: {err}") from None
+        if err is not None:
+            raise err
         rows.append((name, pred, target))
     return rows
 

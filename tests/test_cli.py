@@ -1,15 +1,18 @@
 import csv
 import json
+import multiprocessing
 import os
 import re
+import time
 
 import numpy as np
 import pytest
 
-from matformer import io
+from matformer import cli, io
 from matformer.cli import main
+from matformer.crystal import Crystal, supercell
 from matformer.model import Matformer, ModelConfig
-from matformer.synthetic import mean_lattice_length, random_corpus
+from matformer.synthetic import mean_lattice_length, random_corpus, random_crystal
 from oracles import write_targets_csv
 
 CUBE_POSCAR = """hydrogen cube
@@ -359,6 +362,135 @@ class TestPredictBatchNormShape:
         stderr = capsys.readouterr().err
         assert err.value.code == 2
         assert stderr == f"cannot load checkpoint {path}: checkpoint entry bn_states[0].running_mean: {message}\n"
+
+
+def assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # nothing left to reap either
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelPredict:
+    """``predict`` spreads whole crystals over one worker per CPU in the
+    affinity mask, the parent included; here the mask is made three CPUs
+    wide, more than some machines have, so that two children are forked."""
+
+    SCALE = {"mean": 1.25, "std": 0.5}
+
+    @pytest.fixture
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    @staticmethod
+    def corpus():
+        # one-atom cells, and a 2x2x1 supercell as the largest crystal
+        rng = np.random.default_rng(7)
+        cells = [random_crystal(rng, n_atoms=1 + i % 3) for i in range(7)]
+        return cells + [supercell(cells[2], (2, 2, 1))]
+
+    def write(self, tmp_path, crystals, model):
+        data = tmp_path / "data"
+        data.mkdir()
+        for i, crystal in enumerate(crystals):
+            (data / f"c{i}.json").write_text(io.write_crystal_json(crystal))
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps({**model.to_checkpoint(), "target_scale": self.SCALE}))
+        return str(checkpoint), str(data)
+
+    @staticmethod
+    def model():
+        return Matformer(ModelConfig(n_layers=2, n_heads=2, d_model=8, rbf_kernels=8, readout_hidden=8), seed=3)
+
+    def test_rows_equal_in_process_predict_bit_for_bit(self, tmp_path, monkeypatch):
+        crystals, model = self.corpus(), self.model()
+        checkpoint, data = self.write(tmp_path, crystals, model)
+        expected = [model.predict(c) * self.SCALE["std"] + self.SCALE["mean"] for c in crystals]
+        pids = tmp_path / "pids"
+        share = cli._predict_share
+
+        def recording(*args):  # forked children inherit the patch and append their pid too
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return share(*args)
+
+        monkeypatch.setattr(cli, "_predict_share", recording)
+        texts = {}
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            pids.write_text("")
+            out = tmp_path / f"{len(cpus)}.csv"
+            assert main(["predict", "--checkpoint", checkpoint, "--data", data, "--out", str(out)]) == 0
+            assert_no_child_left()
+            workers = set(pids.read_text().split())
+            assert len(workers) == len(cpus) and str(os.getpid()) in workers
+            texts[len(cpus)] = out.read_text()
+            rows = list(csv.DictReader(texts[len(cpus)].splitlines()))
+            assert [row["id"] for row in rows] == [f"c{i}" for i in range(len(crystals))]
+            assert [float(row["prediction"]) for row in rows] == expected
+        assert texts[1] == texts[3]
+
+    def test_first_failure_in_input_order_is_reported(self, tmp_path, three_cpus):
+        # copper only in c4 and c7, whose row of the atom table is NaN; the
+        # parent predicts c7 (the largest crystal), a child c4
+        crystals = self.corpus()
+        for i in (4, 7):
+            crystals[i] = Crystal(np.where(np.arange(crystals[i].n_atoms) == 0, 29, crystals[i].atomic_numbers),
+                                  crystals[i].positions, crystals[i].lattice)
+        shares = cli._balanced_shares([c.n_atoms for c in crystals], 3)
+        assert 7 in shares[0] and 4 not in shares[0]
+        model = self.model()
+        model.embedding.params["node.w"].values[29] = np.nan
+        checkpoint, data = self.write(tmp_path, crystals, model)
+        with pytest.raises(SystemExit) as err:
+            main(["predict", "--checkpoint", checkpoint, "--data", data])
+        assert err.value.code == 2
+        assert re.fullmatch(r"cannot predict c4: non-finite values produced by \w+", str(err.value))
+        assert_no_child_left()
+
+    def test_an_error_in_the_parent_leaves_no_child(self, tmp_path, monkeypatch, three_cpus):
+        parent, share = os.getpid(), cli._predict_share
+
+        def failing(*args):  # the parent fails at once while its children are still busy
+            if os.getpid() == parent:
+                raise RuntimeError("parent failed")
+            time.sleep(60)
+            return share(*args)
+
+        monkeypatch.setattr(cli, "_predict_share", failing)
+        checkpoint, data = self.write(tmp_path, self.corpus(), self.model())
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="parent failed"):
+            main(["predict", "--checkpoint", checkpoint, "--data", data])
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    def test_a_child_that_dies_before_sending_is_an_error(self, tmp_path, monkeypatch, three_cpus):
+        monkeypatch.setattr(cli, "_send_share", lambda conn, *args: os._exit(3))
+        checkpoint, data = self.write(tmp_path, self.corpus(), self.model())
+        with pytest.raises(RuntimeError, match=r"^prediction worker \d+ exited with status 3 before sending"):
+            main(["predict", "--checkpoint", checkpoint, "--data", data])
+        assert_no_child_left()
+
+    def test_shares_balance_atoms_and_keep_input_order(self):
+        sizes = [1, 2, 3, 1, 2, 3, 1, 12, 5, 4]
+        shares = cli._balanced_shares(sizes, 3)
+        assert sorted(i for share in shares for i in share) == list(range(len(sizes)))
+        assert all(share == sorted(share) for share in shares)
+        assert sorted(sum(sizes[i] for i in share) for share in shares) == [11, 11, 12]
+
+    def test_duplicate_id_exits_two_naming_both_files(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        crystal = random_corpus(1, seed=60)[0]
+        (data / "x.json").write_text(io.write_crystal_json(crystal))
+        (data / "x.poscar").write_text(CUBE_POSCAR)
+        targets = tmp_path / "targets.csv"
+        targets.write_text(write_targets_csv([("x", 1.0)]))
+        fixture = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
+        with pytest.raises(SystemExit) as err:
+            main(["predict", "--checkpoint", fixture, "--data", str(data), "--targets", str(targets)])
+        assert err.value.code == 2
+        assert str(err.value) == f"crystal files {data / 'x.json'} and {data / 'x.poscar'} both have id 'x'"
 
 
 class TestRunConfig:
