@@ -72,8 +72,15 @@ def _parse_file(path: str, parse):
         raise CannotRun(f"cannot read {path}: {err}") from None
 
 
+def _check_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise CannotRun(f"{flag} must be >= {least}, got {value}")
+
+
 def cmd_build_graph(args) -> int:
     crystals = _load_crystals([args.input])
+    if args.out and len(crystals) > 1:  # each crystal's graph would overwrite the last
+        raise CannotRun(f"--out takes one crystal, got {len(crystals)} in {args.input}")
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
         try:
@@ -92,6 +99,7 @@ def cmd_build_graph(args) -> int:
 def cmd_audit(args) -> int:
     if args.trials < 1:
         raise CannotRun(f"--trials must be >= 1, got {args.trials}: an audit of no trial shows nothing")
+    _check_at_least("--seed", args.seed, 0)
     crystals = [c for _, c in _load_crystals(args.inputs)]
     builder = audit_mod.make_builder(
         args.builder,
@@ -127,12 +135,17 @@ def cmd_audit(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
+    _check_at_least("--d-model", args.d_model, 1)
+    _check_at_least("--kernels", args.kernels, 2)
     crystals = _load_crystals([args.input])
+    if args.out and len(crystals) > 1:  # each crystal's features would overwrite the last
+        raise CannotRun(f"--out takes one crystal, got {len(crystals)} in {args.input}")
     rng = np.random.default_rng(args.seed)
     embedding = GraphEmbedding(args.d_model, n_kernels=args.kernels, rng=rng)
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
-        try:  # the embedding's RBF grid rejects its kernel count when it expands the distances
+        try:  # the builder rejects its sizes (--rank, --t), the search an over-budget cell
             prepared = prepare_graph(build(crystal))
             with engine.no_grad():
                 node_input, edge_input = embedding.node_input(prepared), embedding.edge_input(prepared)
@@ -325,7 +338,7 @@ def _predict_rows(model: Matformer, scale: dict, items) -> list[tuple[str, float
     rows = []
     for i, (name, _, target) in enumerate(items):
         pred, err = pairs[i]  # a share stops at its first failure, so any index missing follows one
-        if isinstance(err, FloatingPointError):
+        if isinstance(err, (FloatingPointError, ValueError)):  # a non-finite forward, or a cell the search refuses
             raise CannotRun(f"cannot predict {name}: {err}") from None
         if err is not None:
             raise err
@@ -340,6 +353,7 @@ def cmd_train(args) -> int:
     if args.val_fraction + args.test_fraction >= 1:
         raise CannotRun(f"--val-fraction {args.val_fraction} and --test-fraction {args.test_fraction} "
                         "sum to 1 or more: no crystal is left to train on")
+    _check_at_least("--data-seed", args.data_seed, 0)
     mapping = _parse_file(args.config, io.parse_run_config) if args.config else {}
     model_config, train_config = _run_configs(mapping)
 

@@ -232,20 +232,12 @@ def neighbor_candidates(crystal: Crystal, r: float):
     return dst, src, image, dist[dst, src, p]
 
 
-def _density_radius(crystal: Crystal, images_needed: int, per_pair: bool) -> float:
-    # Initial guess from uniform density; grown geometrically if short.
-    vol = crystal.volume
-    n = 1 if per_pair else crystal.n_atoms
-    r = (3.0 * max(images_needed, 1) * vol / (4.0 * math.pi * n)) ** (1.0 / 3.0)
-    return 1.3 * r
-
-
 def grow_candidates(crystal: Crystal, need: int, per_pair: bool = False):
     """``(r, neighbor_candidates(crystal, r))`` at the first radius where each
     destination atom (each ordered atom pair when ``per_pair``) has at least
     ``need`` candidates, growing 1.5x from a uniform-density guess."""
     n = crystal.n_atoms
-    r = _density_radius(crystal, need, per_pair)
+    r = 1.3 * (3.0 * max(need, 1) * crystal.volume / (4.0 * math.pi * (1 if per_pair else n))) ** (1.0 / 3.0)
     while True:
         cand = neighbor_candidates(crystal, r)
         keys, size = (cand[0] * n + cand[1], n * n) if per_pair else (cand[0], n)

@@ -135,11 +135,6 @@ def parse_poscar(text: str) -> Crystal:
         raise ParseError(3, f"the lattice on lines 3-5 leaves the float range: {err}") from None
 
 
-def read_poscar(path: str) -> Crystal:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_poscar(fh.read())
-
-
 # --- crystal JSON ---------------------------------------------------------------
 
 
@@ -179,10 +174,9 @@ def parse_crystal_json(text: str) -> Crystal:
 
 def read_crystal(path: str) -> Crystal:
     """Dispatch on extension: .json or POSCAR-style text."""
-    if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_crystal_json(fh.read())
-    return read_poscar(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return parse_crystal_json(text) if path.endswith(".json") else parse_poscar(text)
 
 
 # --- graph serialization --------------------------------------------------------
@@ -195,19 +189,15 @@ def _edge_rows(graph: CrystalGraph):
                map(KINDS.__getitem__, e.kind.tolist()))
 
 
-def graph_to_dict(graph: CrystalGraph) -> dict:
-    return {
+def graph_to_json(graph: CrystalGraph) -> str:
+    return json.dumps({
         "meta": asdict(graph.meta),  # keys in GraphMeta field order; node_radii, a tuple, dumps as a list
         "nodes": [{"index": i, "atomic_number": int(z)} for i, z in enumerate(graph.node_atomic_numbers)],
         "edges": [
             {"src": src, "dst": dst, "distance": distance, "image": image, "kind": kind}
             for src, dst, distance, image, kind in _edge_rows(graph)
         ],
-    }
-
-
-def graph_to_json(graph: CrystalGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=1)
+    }, indent=1)
 
 
 def graph_to_text(graph: CrystalGraph) -> str:
@@ -265,18 +255,9 @@ def write_predictions_csv(rows: list[tuple[str, float, float]]) -> str:
 def write_training_log_csv(log: list[dict]) -> str:
     out = _stdio.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["epoch", "lr", "train_loss", "val_mae", "ewt_0.01", "ewt_0.02"])
-    for row in log:
-        writer.writerow(
-            [
-                row["epoch"],
-                repr(row["lr"]),
-                repr(row["train_loss"]),
-                repr(row["val_mae"]),
-                repr(row["ewt_0.01"]),
-                repr(row["ewt_0.02"]),
-            ]
-        )
+    if log:  # the rows' keys are the header: train owns the schema
+        writer.writerow(log[0].keys())
+    writer.writerows(map(repr, row.values()) for row in log)
     return out.getvalue()
 
 

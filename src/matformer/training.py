@@ -30,6 +30,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr_max < 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("lr/epochs/batch must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 _GRAD_LIMIT = math.sqrt(np.finfo(float).max)

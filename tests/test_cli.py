@@ -158,7 +158,7 @@ class TestFeaturize:
     def test_builder_error_exits_with_its_message(self, cube_file):
         with pytest.raises(SystemExit, match=r"^cannot featurize cube: t must be >= 1$"):
             main(["featurize", cube_file, "--method", "tfc", "--t", "0"])
-        with pytest.raises(SystemExit, match=r"^cannot featurize cube: need at least two kernels$"):
+        with pytest.raises(SystemExit, match=r"^--kernels must be >= 2, got 1$"):
             main(["featurize", cube_file, "--kernels", "1"])
 
 
@@ -471,6 +471,25 @@ class TestParallelPredict:
             main(["predict", "--checkpoint", checkpoint, "--data", data])
         assert_no_child_left()
 
+    @pytest.mark.parametrize("child", [False, True], ids=["parent", "child"])
+    def test_a_cell_the_search_refuses_exits_two_with_one_line(self, tmp_path, capsys, three_cpus, child):
+        # the search's guard refuses both supercells before it allocates; the
+        # 4000-atom one goes to the parent's share, the 3600-atom one to a child's
+        base = random_crystal(np.random.default_rng(0), n_atoms=4)
+        crystals = self.corpus() + [supercell(base, (10, 10, 10))]
+        if child:
+            crystals.insert(2, supercell(base, (9, 10, 10)))
+        refused = 2 if child else 8
+        assert (refused in cli._balanced_shares([c.n_atoms for c in crystals], 3)[0]) != child
+        checkpoint, data = self.write(tmp_path, crystals, self.model())
+        with pytest.raises(SystemExit) as err:
+            main(["predict", "--checkpoint", checkpoint, "--data", data])
+        assert err.value.code == 2
+        assert re.fullmatch(rf"cannot predict c{refused}: neighbor search over {crystals[refused].n_atoms} atoms "
+                            r"at r=\S+ would need \d+ MiB for its image grid \(limit 1024 MiB\)", str(err.value))
+        assert capsys.readouterr().err == f"{err.value}\n"
+        assert_no_child_left()
+
     def test_shares_balance_atoms_and_keep_input_order(self):
         sizes = [1, 2, 3, 1, 2, 3, 1, 12, 5, 4]
         shares = cli._balanced_shares(sizes, 3)
@@ -555,6 +574,13 @@ class TestRunConfig:
         assert (tmp_path / "run" / "checkpoint.json").exists()
         assert not (tmp_path / "run" / "predictions.csv").exists()
 
+    def test_negative_seed_is_an_invalid_run_config(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            self.train_with(tmp_path, "train.seed=-1\n")
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "invalid run config: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "run").exists()
+
     def test_rejected_config_value_exits(self, tmp_path):
         self.TINY = self.TINY.replace("model.readout_hidden=4", "model.readout_hidden=0")
         with pytest.raises(SystemExit, match="invalid run config: .*readout_hidden"):
@@ -571,14 +597,33 @@ class TestCouldNotRun:
         (["analyze", "line-graph-size", "--n", "0"], "cannot analyze line-graph-size: need at least one node"),
         (["analyze", "line-graph-size", "--n", "4", "--degree", "3"],
          "cannot analyze line-graph-size: degree must be even and >= 2"),
+        (["audit", "{cube}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["featurize", "{cube}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["featurize", "{cube}", "--d-model", "-1"], "--d-model must be >= 1, got -1"),
+        (["featurize", "{cube}", "--kernels", "-1"], "--kernels must be >= 2, got -1"),
+        (["train", "--synthetic", "4", "--data-seed", "-1", "--out-dir", "{run}"], "--data-seed must be >= 0, got -1"),
     ])
     def test_exits_two_with_one_line(self, tmp_path, cube_file, capsys, argv, message):
-        paths = {"n": tmp_path / "n.json", "cube": cube_file}
+        paths = {"n": tmp_path / "n.json", "cube": cube_file, "run": tmp_path / "run"}
         paths["n"].write_text("3")
         with pytest.raises(SystemExit) as err:
             main([arg.format(**paths) for arg in argv])
         assert err.value.code == 2
         assert capsys.readouterr().err == message.format(**paths) + "\n"
+        assert not paths["run"].exists()
+
+    @pytest.mark.parametrize("command", ["build-graph", "featurize"])
+    def test_out_takes_one_crystal(self, tmp_path, corpus_dir, cube_file, capsys, command):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as err:
+            main([command, corpus_dir, "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr() == ("", f"--out takes one crystal, got 3 in {corpus_dir}\n")
+        assert not out.exists()
+        # one crystal: --out holds what the command prints without it
+        assert main([command, cube_file, "--out", str(out)]) == 0 and main([command, cube_file]) == 0
+        printed = capsys.readouterr().out.split("\n", 1)[1]  # after the "wrote" line
+        assert printed == out.read_text() + ("\n" if command == "featurize" else "")
 
     V1 = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
     NO_FILE = "[Errno 2] No such file or directory: '{missing}'"
