@@ -8,6 +8,7 @@ key is rejected."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import math
@@ -34,6 +35,16 @@ class CannotRun(SystemExit):
         self.code = 2
 
 
+@contextlib.contextmanager
+def _exit_on(context: str, *errors: type[Exception]):
+    """Turn ``errors`` (``ValueError`` when none is named) raised in the block
+    into a ``CannotRun`` whose one line reads ``"<context>: <error>"``."""
+    try:
+        yield
+    except errors or ValueError as err:
+        raise CannotRun(f"{context}: {err}") from None
+
+
 def _load_crystals(paths: list[str]) -> list[tuple[str, "object"]]:
     files = []
     for path in paths:
@@ -55,21 +66,17 @@ def _load_crystals(paths: list[str]) -> list[tuple[str, "object"]]:
         ids[name] = path
     out = []
     for name, path in ids.items():
-        try:
+        with _exit_on(f"cannot read {path}", OSError, ValueError):
             out.append((name, io.read_crystal(path)))
-        except (OSError, ValueError) as err:
-            raise CannotRun(f"cannot read {path}: {err}") from None
     return out
 
 
 def _parse_file(path: str, parse):
     """``parse`` of the text of ``path``; a file that cannot be read or
     parsed is a ``CannotRun`` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
-    except (OSError, ValueError) as err:  # ValueError includes ParseError and UnicodeDecodeError
-        raise CannotRun(f"cannot read {path}: {err}") from None
+    # ValueError includes ParseError and UnicodeDecodeError
+    with _exit_on(f"cannot read {path}", OSError, ValueError), open(path, "r", encoding="utf-8") as fh:
+        return parse(fh.read())
 
 
 def _check_at_least(flag: str, value: int, least: int) -> None:
@@ -83,10 +90,8 @@ def cmd_build_graph(args) -> int:
         raise CannotRun(f"--out takes one crystal, got {len(crystals)} in {args.input}")
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
-        try:
+        with _exit_on(f"cannot build a {args.method} graph of {name}"):
             graph = build(crystal)
-        except ValueError as err:
-            raise CannotRun(f"cannot build a {args.method} graph of {name}: {err}") from None
         text = io.graph_to_text(graph) if args.format == "text" else io.graph_to_json(graph)
         if args.out:
             io.atomic_write(args.out, text)
@@ -111,7 +116,7 @@ def cmd_audit(args) -> int:
         perturbation_seed=args.seed,
     )
     alphas = ((1, 1, 1),) if args.no_supercell else audit_mod.DEFAULT_ALPHAS
-    try:
+    with _exit_on(f"cannot audit the {args.builder} builder"):
         if args.mode == "periodic":
             report = audit_mod.audit_periodic_invariance(
                 builder, crystals, args.trials, args.seed, alphas=alphas, name=args.builder
@@ -120,8 +125,6 @@ def cmd_audit(args) -> int:
             report = audit_mod.audit_e3_invariance(
                 builder, crystals, args.trials, args.seed, name=args.builder
             )
-    except ValueError as err:
-        raise CannotRun(f"cannot audit the {args.builder} builder: {err}") from None
     payload = json.dumps(asdict(report), indent=1, allow_nan=False)
     if args.out:
         io.atomic_write(args.out, payload)
@@ -145,12 +148,10 @@ def cmd_featurize(args) -> int:
     embedding = GraphEmbedding(args.d_model, n_kernels=args.kernels, rng=rng)
     build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
     for name, crystal in crystals:
-        try:  # the builder rejects its sizes (--rank, --t), the search an over-budget cell
+        # the builder rejects its sizes (--rank, --t), the search an over-budget cell
+        with _exit_on(f"cannot featurize {name}"), engine.no_grad():
             prepared = prepare_graph(build(crystal))
-            with engine.no_grad():
-                node_input, edge_input = embedding.node_input(prepared), embedding.edge_input(prepared)
-        except ValueError as err:
-            raise CannotRun(f"cannot featurize {name}: {err}") from None
+            node_input, edge_input = embedding.node_input(prepared), embedding.edge_input(prepared)
         payload = json.dumps(
             {
                 "id": name,
@@ -188,14 +189,10 @@ def _run_configs(mapping: dict[str, str]) -> tuple[ModelConfig, training.TrainCo
     kwargs = {prefix: {} for prefix in sections}
     for key, raw in mapping.items():
         prefix, name = key.split(".", 1)
-        try:
+        with _exit_on(f"run-config key {key}"):
             kwargs[prefix][name] = _PARSERS[known[key]](raw)
-        except ValueError as err:
-            raise CannotRun(f"run-config key {key}: {err}") from err
-    try:
+    with _exit_on("invalid run config"):
         return ModelConfig(**kwargs["model"]), training.TrainConfig(**kwargs["train"])
-    except ValueError as err:
-        raise CannotRun(f"invalid run config: {err}") from err
 
 
 def _load_dataset(args) -> list[io.DatasetRecord]:
@@ -213,10 +210,8 @@ def _load_dataset(args) -> list[io.DatasetRecord]:
     for name, crystal in _load_crystals([args.data]):
         if name not in targets:
             raise CannotRun(f"no target for crystal {name!r}")
-        try:
+        with _exit_on(f"cannot train on {args.targets}"):
             records.append(io.DatasetRecord(id=name, crystal=crystal, target=targets[name]))
-        except ValueError as err:
-            raise CannotRun(f"cannot train on {args.targets}: {err}") from None
     return records
 
 
@@ -232,24 +227,24 @@ def _split(records, val_fraction, test_fraction, seed):
     return pick(train_ids), pick(val_ids), pick(test_ids)
 
 
-def _predict_share(model: Matformer, scale: dict, crystals) -> list[tuple[float, Exception | None]]:
-    """``(prediction, error)`` for each crystal in order, in target units,
+def _predict_share(model: Matformer, crystals) -> list[tuple[float, Exception | None]]:
+    """``(prediction, error)`` for each crystal in order, in normalized units,
     ending with the first crystal whose forward raises. The error is
     returned, not raised, so that a forked worker can send it to the parent."""
     pairs = []
     for crystal in crystals:
         try:
-            pairs.append((model.predict(crystal) * scale["std"] + scale["mean"], None))
+            pairs.append((model.predict(crystal), None))
         except Exception as err:
             pairs.append((math.nan, err))
             break
     return pairs
 
 
-def _send_share(conn, model: Matformer, scale: dict, crystals) -> None:
+def _send_share(conn, model: Matformer, crystals) -> None:
     """A forked worker's body: one share's pairs, sent to the parent."""
     with conn:
-        conn.send(_predict_share(model, scale, crystals))
+        conn.send(_predict_share(model, crystals))
 
 
 def _worker_count(n_crystals: int) -> int:
@@ -282,12 +277,12 @@ def _balanced_shares(sizes: list[int], n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _predict_shares(model: Matformer, scale: dict, shares: list[list]) -> list[list]:
+def _predict_shares(model: Matformer, shares: list[list]) -> list[list]:
     """``_predict_share`` of each share of crystals: the first in this process,
     each other in a child forked here, which inherits the model and sends
     back only its pairs. No child outlives the call."""
     if len(shares) == 1:
-        return [_predict_share(model, scale, shares[0])]
+        return [_predict_share(model, shares[0])]
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
@@ -295,11 +290,11 @@ def _predict_shares(model: Matformer, scale: dict, shares: list[list]) -> list[l
     try:
         for share in shares[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_share, args=(send, model, scale, share))
+            child = ctx.Process(target=_send_share, args=(send, model, share))
             child.start()
             send.close()  # so that a child that dies before sending is an EOFError here
             children.append((child, recv))
-        out = [_predict_share(model, scale, shares[0])]
+        out = [_predict_share(model, shares[0])]
         for child, recv in children:
             try:
                 out.append(recv.recv())
@@ -333,16 +328,15 @@ def _predict_rows(model: Matformer, scale: dict, items) -> list[tuple[str, float
     shares = _balanced_shares([crystal.n_atoms for _, crystal, _ in items], _worker_count(len(items)))
     crystal_shares = [[items[i][1] for i in share] for share in shares]
     pairs = {}
-    for share, share_pairs in zip(shares, _predict_shares(model, scale, crystal_shares)):
+    for share, share_pairs in zip(shares, _predict_shares(model, crystal_shares)):
         pairs.update(zip(share, share_pairs))  # by position, never by id
     rows = []
     for i, (name, _, target) in enumerate(items):
         pred, err = pairs[i]  # a share stops at its first failure, so any index missing follows one
-        if isinstance(err, (FloatingPointError, ValueError)):  # a non-finite forward, or a cell the search refuses
-            raise CannotRun(f"cannot predict {name}: {err}") from None
-        if err is not None:
-            raise err
-        rows.append((name, pred, target))
+        if err is not None:  # a non-finite forward, or a cell the search refuses, is one line
+            with _exit_on(f"cannot predict {name}", FloatingPointError, ValueError):
+                raise err
+        rows.append((name, pred * scale["std"] + scale["mean"], target))
     return rows
 
 
@@ -365,10 +359,9 @@ def cmd_train(args) -> int:
             "best-checkpoint selection needs at least one: raise --val-fraction or add crystals"
         )
     model = Matformer(model_config, seed=train_config.seed)
-    try:
+    # data train rejects, or divergence
+    with _exit_on("cannot train", ValueError, training.TrainingDivergedError):
         result = training.train(model, train_recs, val_recs, train_config)
-    except (ValueError, training.TrainingDivergedError) as err:  # data train rejects, or divergence
-        raise CannotRun(f"cannot train: {err}") from None
 
     os.makedirs(args.out_dir, exist_ok=True)
     io.atomic_write(os.path.join(args.out_dir, "log.csv"), io.write_training_log_csv(result.log))
@@ -384,12 +377,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
+    # ValueError includes JSONDecodeError and UnicodeDecodeError
+    with _exit_on(f"cannot load checkpoint {args.checkpoint}", OSError, ValueError):
         with open(args.checkpoint, "r", encoding="utf-8") as fh:
             checkpoint = json.load(fh)
         model = Matformer.from_checkpoint(checkpoint)  # checks target_scale too
-    except (OSError, ValueError) as err:  # ValueError includes JSONDecodeError and UnicodeDecodeError
-        raise CannotRun(f"cannot load checkpoint {args.checkpoint}: {err}") from None
     scale = checkpoint.get("target_scale")
     del checkpoint  # megabytes of base64 text the model no longer needs
     if scale is None:
@@ -409,10 +401,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:  # args.what is "line-graph-size", the one choice argparse accepts
+    with _exit_on("cannot analyze line-graph-size"):  # the one choice of args.what argparse accepts
         nodes, edges = audit_mod.line_graph_size(args.n, degree=args.degree)
-    except ValueError as err:
-        raise CannotRun(f"cannot analyze line-graph-size: {err}") from None
     print(f"nodes={nodes} edges={edges}")
     return 0
 

@@ -159,9 +159,10 @@ def image_box(lattice: np.ndarray, r: float) -> tuple[int, int, int]:
 
 def _box(spacings: np.ndarray, r: float) -> tuple[int, int, int]:
     """``image_box`` of the lattice with interplanar ``spacings``."""
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return tuple(np.floor(r / spacings + 0.5 + 1e-9).astype(int).tolist())
+    if not 0 < r < math.inf:  # true of nan too, which fails every comparison
+        raise ValueError(f"radius must be positive and finite, got {r}")
+    # Python ints, which do not overflow: a huge radius reaches the search's memory budget
+    return tuple(math.floor(r / s + 0.5 + 1e-9) for s in spacings.tolist())
 
 
 def image_offsets(box: tuple[int, int, int]) -> np.ndarray:
@@ -201,8 +202,10 @@ def neighbor_candidates(crystal: Crystal, r: float):
     # three float64 base offsets per (dst, src) pair
     peak_bytes = n * n * (math.prod(2 * k + 1 for k in bound) * (8 * 8 + 3) + 3 * 8)
     if peak_bytes > MAX_GRID_BYTES:
+        # the nearest MiB in integers, which hold any radius's estimate: n * n
+        # times an odd number is never a tie at half a MiB
         raise ValueError(
-            f"neighbor search over {n} atoms at r={r:.3f} would need {peak_bytes / 2**20:.0f} MiB "
+            f"neighbor search over {n} atoms at r={r:.3f} would need {(peak_bytes + 2**19) >> 20} MiB "
             f"for its image grid (limit {MAX_GRID_BYTES / 2**20:.0f} MiB)"
         )
     offs = image_offsets(bound)

@@ -323,6 +323,9 @@ class TestPredictCheckpoint:
         (lambda d: d["config"].update(n_layers="2"), "config.n_layers: expected int, got str"),
         (lambda d: d.update(target_scale=3), "target_scale: expected object, got int"),
         (lambda d: d.update(target_scale={"mean": "0", "std": 1.0}), "target_scale.mean: expected float, got str"),
+        (lambda d: d.update(config=3), "checkpoint 'config' and 'params' must be objects and 'bn_states' a list"),
+        (lambda d: d["bn_states"].__setitem__(0, 3),
+         "bn_states[0]: missing ['running_mean', 'running_var', 'momentum', 'num_batches']"),
     ])
     def test_wrong_typed_checkpoint_field_exits_naming_it(self, corpus_dir, tmp_path, edit, message):
         with open(os.path.join(os.path.dirname(__file__), "checkpoint_v1.json"), "r", encoding="utf-8") as fh:
@@ -331,7 +334,9 @@ class TestPredictCheckpoint:
         path = self.write_checkpoint(tmp_path, json.dumps(data))
         with pytest.raises(SystemExit) as err:
             main(["predict", "--checkpoint", path, "--data", corpus_dir])
-        assert str(err.value) == f"cannot load checkpoint {path}: checkpoint entry {message}"
+        # a top-level entry of the wrong type is named by the whole message, any other by its path
+        entry = message if message.startswith("checkpoint ") else f"checkpoint entry {message}"
+        assert str(err.value) == f"cannot load checkpoint {path}: {entry}"
 
     def test_version_1_checkpoint_predicts(self, corpus_dir, capsys):
         fixture = os.path.join(os.path.dirname(__file__), "checkpoint_v1.json")
@@ -581,6 +586,14 @@ class TestRunConfig:
         assert capsys.readouterr().err == "invalid run config: seed must be >= 0, got -1\n"
         assert not (tmp_path / "run").exists()
 
+    def test_self_edges_can_be_turned_off(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.TINY + "model.use_self_edges=false\n")
+        assert main(["train", "--synthetic", "4", "--config", str(cfg), "--out-dir", str(tmp_path / "run"),
+                     "--val-fraction", "0.5", "--test-fraction", "0"]) == 0
+        with open(tmp_path / "run" / "checkpoint.json", "r", encoding="utf-8") as fh:
+            assert json.load(fh)["config"]["use_self_edges"] is False
+
     def test_rejected_config_value_exits(self, tmp_path):
         self.TINY = self.TINY.replace("model.readout_hidden=4", "model.readout_hidden=0")
         with pytest.raises(SystemExit, match="invalid run config: .*readout_hidden"):
@@ -602,10 +615,21 @@ class TestCouldNotRun:
         (["featurize", "{cube}", "--d-model", "-1"], "--d-model must be >= 1, got -1"),
         (["featurize", "{cube}", "--kernels", "-1"], "--kernels must be >= 2, got -1"),
         (["train", "--synthetic", "4", "--data-seed", "-1", "--out-dir", "{run}"], "--data-seed must be >= 0, got -1"),
+        (["audit", "{cube}", "--builder", "ocgraph", "--radius", "nan"],
+         "cannot audit the ocgraph builder: radius must be positive and finite, got nan"),
+        (["audit", "{cube}", "--builder", "ocgraph", "--radius", "inf"],
+         "cannot audit the ocgraph builder: radius must be positive and finite, got inf"),
+        (["build-graph", "{empty}"], "no crystal files found"),
+        (["train", "--data", "{data}", "--targets", "{targets}", "--out-dir", "{run}"], "no target for crystal 'a'"),
     ])
     def test_exits_two_with_one_line(self, tmp_path, cube_file, capsys, argv, message):
-        paths = {"n": tmp_path / "n.json", "cube": cube_file, "run": tmp_path / "run"}
+        paths = {"n": tmp_path / "n.json", "cube": cube_file, "run": tmp_path / "run", "empty": tmp_path / "empty",
+                 "data": tmp_path / "data", "targets": tmp_path / "t.csv"}
         paths["n"].write_text("3")
+        paths["empty"].mkdir()
+        paths["data"].mkdir()
+        (paths["data"] / "a.poscar").write_text(CUBE_POSCAR)
+        paths["targets"].write_text("id,target\nb,1.0\n")
         with pytest.raises(SystemExit) as err:
             main([arg.format(**paths) for arg in argv])
         assert err.value.code == 2

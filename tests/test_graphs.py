@@ -63,8 +63,9 @@ class TestImageBound:
         assert k[2] == 1
 
     def test_rejects_non_positive_radius(self):
-        with pytest.raises(ValueError):
-            image_box(np.eye(3), 0.0)
+        for r in (0.0, np.nan, np.inf):  # nan and inf would overflow the integer box
+            with pytest.raises(ValueError, match=f"radius must be positive and finite, got {r}"):
+                image_box(np.eye(3), r)
 
     def test_completeness_vs_exhaustive_scan(self):
         # every image within r found by a wide scan lies in the box around

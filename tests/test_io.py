@@ -346,6 +346,15 @@ class TestAtomicWrite:
         assert path.read_bytes() == text.encode("utf-8")
         assert peak < 8 * 2**20, f"writing 32 MiB of text peaked at {peak / 2**20:.1f} MiB"
 
+    def test_a_write_that_fails_part_way_keeps_the_target_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+        # one slice is written before the lone surrogate, which UTF-8 cannot encode
+        with pytest.raises(UnicodeEncodeError):
+            io.atomic_write(str(path), "x" * io._WRITE_SLICE + "\ud800")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
 
 class TestDatasetRecord:
     def test_rejects_non_finite_target(self):
