@@ -84,11 +84,32 @@ def _check_at_least(flag: str, value: int, least: int) -> None:
         raise CannotRun(f"{flag} must be >= {least}, got {value}")
 
 
+# make_builder's keyword for each construction flag, and the constructions that read it
+_BUILDER_FLAGS = {"rank": ("neighbor_rank", ("radius",)), "t": ("t", ("tfc",)),
+                  "self_edges": ("self_edges", ("radius", "tfc")), "radius": ("radius", ("ocgraph",)),
+                  "k": ("k", ("knn",))}
+
+
+def _make_builder(name: str, args, **kwargs):
+    """``make_builder(name)`` with each construction flag given in ``args``
+    (one left out is ``None``); a flag the construction does not read is a
+    ``CannotRun`` naming both."""
+    for dest, (keyword, readers) in _BUILDER_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if name not in readers:
+            raise CannotRun(f"--{dest.replace('_', '-')} is not read by the {name} construction, "
+                            f"only by {' and '.join(readers)}")
+        kwargs[keyword] = value
+    return audit_mod.make_builder(name, **kwargs)
+
+
 def cmd_build_graph(args) -> int:
     crystals = _load_crystals([args.input])
     if args.out and len(crystals) > 1:  # each crystal's graph would overwrite the last
         raise CannotRun(f"--out takes one crystal, got {len(crystals)} in {args.input}")
-    build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
+    build = _make_builder(args.method, args)
     for name, crystal in crystals:
         with _exit_on(f"cannot build a {args.method} graph of {name}"):
             graph = build(crystal)
@@ -106,15 +127,7 @@ def cmd_audit(args) -> int:
         raise CannotRun(f"--trials must be >= 1, got {args.trials}: an audit of no trial shows nothing")
     _check_at_least("--seed", args.seed, 0)
     crystals = [c for _, c in _load_crystals(args.inputs)]
-    builder = audit_mod.make_builder(
-        args.builder,
-        neighbor_rank=args.rank,
-        t=args.t,
-        self_edges=args.self_edges,
-        radius=args.radius,
-        k=args.k,
-        perturbation_seed=args.seed,
-    )
+    builder = _make_builder(args.builder, args, perturbation_seed=args.seed)
     alphas = ((1, 1, 1),) if args.no_supercell else audit_mod.DEFAULT_ALPHAS
     with _exit_on(f"cannot audit the {args.builder} builder"):
         if args.mode == "periodic":
@@ -146,7 +159,7 @@ def cmd_featurize(args) -> int:
         raise CannotRun(f"--out takes one crystal, got {len(crystals)} in {args.input}")
     rng = np.random.default_rng(args.seed)
     embedding = GraphEmbedding(args.d_model, n_kernels=args.kernels, rng=rng)
-    build = audit_mod.make_builder(args.method, neighbor_rank=args.rank, t=args.t, self_edges=args.self_edges)
+    build = _make_builder(args.method, args)
     for name, crystal in crystals:
         # the builder rejects its sizes (--rank, --t), the search an over-budget cell
         with _exit_on(f"cannot featurize {name}"), engine.no_grad():
@@ -314,11 +327,11 @@ def _predict_shares(model: Matformer, shares: list[list]) -> list[list]:
             recv.close()
 
 
-def _predict_rows(model: Matformer, scale: dict, items) -> list[tuple[str, float, float]]:
-    """``(id, prediction, target)`` for each ``(id, crystal, target)``, in target
-    units, one crystal per forward: ``train``'s test split and ``predict`` on
-    the checkpoint it wrote give the same bits (a batched forward may differ
-    in the last place).
+def _predict_rows(model: Matformer, items) -> list[tuple[str, float, float]]:
+    """``(id, prediction, target)`` for each ``(id, crystal, target)``, in the
+    units of ``model.target_scale`` (normalized without one), one crystal
+    per forward: ``train``'s test split and ``predict`` on the checkpoint it
+    wrote give the same bits (a batched forward may differ in the last place).
 
     The crystals are split into shares of about equal atom count, one per
     worker (``_worker_count``); each worker runs the same forward, so the
@@ -330,6 +343,7 @@ def _predict_rows(model: Matformer, scale: dict, items) -> list[tuple[str, float
     pairs = {}
     for share, share_pairs in zip(shares, _predict_shares(model, crystal_shares)):
         pairs.update(zip(share, share_pairs))  # by position, never by id
+    scale = model.target_scale or {"mean": 0.0, "std": 1.0}
     rows = []
     for i, (name, _, target) in enumerate(items):
         pred, err = pairs[i]  # a share stops at its first failure, so any index missing follows one
@@ -369,8 +383,7 @@ def cmd_train(args) -> int:
         os.path.join(args.out_dir, "checkpoint.json"), json.dumps(result.best_checkpoint)
     )
     if test_recs:
-        rows = _predict_rows(result.best_model, result.best_checkpoint["target_scale"],
-                             [(r.id, r.crystal, r.target) for r in test_recs])
+        rows = _predict_rows(result.best_model, [(r.id, r.crystal, r.target) for r in test_recs])
         io.atomic_write(os.path.join(args.out_dir, "predictions.csv"), io.write_predictions_csv(rows))
     print(f"best validation MAE: {result.best_val_mae:.6f} (artifacts in {args.out_dir})")
     return 0
@@ -379,18 +392,14 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     # ValueError includes JSONDecodeError and UnicodeDecodeError
     with _exit_on(f"cannot load checkpoint {args.checkpoint}", OSError, ValueError):
-        with open(args.checkpoint, "r", encoding="utf-8") as fh:
-            checkpoint = json.load(fh)
-        model = Matformer.from_checkpoint(checkpoint)  # checks target_scale too
-    scale = checkpoint.get("target_scale")
-    del checkpoint  # megabytes of base64 text the model no longer needs
-    if scale is None:
+        with open(args.checkpoint, "rb") as fh:  # one read, one strict decode
+            model = Matformer.from_checkpoint(json.loads(fh.read().decode("utf-8")))
+    if model.target_scale is None:
         print("warning: checkpoint has no target_scale; predictions are in normalized units "
               "(mean 0, std 1)", file=sys.stderr)
-        scale = {"mean": 0.0, "std": 1.0}
     targets = _parse_file(args.targets, io.parse_targets_csv) if args.targets else {}
-    rows = _predict_rows(model, scale, [(name, crystal, targets.get(name, math.nan))
-                                        for name, crystal in _load_crystals([args.data])])
+    rows = _predict_rows(model, [(name, crystal, targets.get(name, math.nan))
+                                 for name, crystal in _load_crystals([args.data])])
     text = io.write_predictions_csv(rows)
     if args.out:
         io.atomic_write(args.out, text)
@@ -411,10 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matformer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # a construction flag defaults to None, and to make_builder's default when it reads the flag
     def add_graph_options(p):
-        p.add_argument("--rank", type=int, default=12, help="neighbor rank for the radius method")
-        p.add_argument("--t", type=int, default=3, help="edges per pair for the tfc method")
-        p.add_argument("--self-edges", action="store_true", help="add the six lattice self edges")
+        p.add_argument("--rank", type=int, help="neighbor rank for the radius method (default 12)")
+        p.add_argument("--t", type=int, help="edges per pair for the tfc method (default 3)")
+        p.add_argument("--self-edges", action="store_true", default=None, help="add the six lattice self edges")
 
     p = sub.add_parser("build-graph", help="construct a crystal graph")
     p.add_argument("input")
@@ -431,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("periodic", "e3"), default="periodic")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=float, default=1.0, help="radius for the ocgraph builder")
-    p.add_argument("--k", type=int, default=12, help="neighbor count for the knn builder")
+    p.add_argument("--radius", type=float, help="radius for the ocgraph builder (default 1.0)")
+    p.add_argument("--k", type=int, help="neighbor count for the knn builder (default 12)")
     p.add_argument("--no-supercell", action="store_true", help="audit boundary shifts only")
     p.add_argument("--out")
     p.set_defaults(func=cmd_audit)

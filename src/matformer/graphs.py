@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -161,8 +162,11 @@ def _box(spacings: np.ndarray, r: float) -> tuple[int, int, int]:
     """``image_box`` of the lattice with interplanar ``spacings``."""
     if not 0 < r < math.inf:  # true of nan too, which fails every comparison
         raise ValueError(f"radius must be positive and finite, got {r}")
-    # Python ints, which do not overflow: a huge radius reaches the search's memory budget
-    return tuple(math.floor(r / s + 0.5 + 1e-9) for s in spacings.tolist())
+    # Python ints and floats, which do not overflow or warn: a huge radius reaches the
+    # search's memory budget, and a quotient past the float range is taken in Decimal
+    r = float(r)
+    return tuple(math.floor(q) if (q := r / s + 0.5 + 1e-9) < math.inf else int(Decimal(r) / Decimal(s))
+                 for s in spacings.tolist())
 
 
 def image_offsets(box: tuple[int, int, int]) -> np.ndarray:
@@ -205,8 +209,9 @@ def neighbor_candidates(crystal: Crystal, r: float):
         # the nearest MiB in integers, which hold any radius's estimate: n * n
         # times an odd number is never a tie at half a MiB
         raise ValueError(
-            f"neighbor search over {n} atoms at r={r:.3f} would need {(peak_bytes + 2**19) >> 20} MiB "
-            f"for its image grid (limit {MAX_GRID_BYTES / 2**20:.0f} MiB)"
+            f"neighbor search over {n} atoms at r={_short(r, '.3f')} would need "
+            f"{_short((peak_bytes + 2**19) >> 20, 'd')} MiB for its image grid "
+            f"(limit {MAX_GRID_BYTES / 2**20:.0f} MiB)"
         )
     offs = image_offsets(bound)
     frac = crystal.positions @ inverse
@@ -233,6 +238,12 @@ def neighbor_candidates(crystal: Crystal, r: float):
     dst, src, p = np.nonzero(keep)
     image = (offs[p] - base[dst, src]).astype(int)
     return dst, src, image, dist[dst, src, p]
+
+
+def _short(value, spec: str) -> str:
+    """``format(value, spec)``, or four significant digits from 10**12 on:
+    ``Decimal`` formats an int of any size, whose float would overflow."""
+    return format(value, spec) if value < 10**12 else format(Decimal(value), ".3e")
 
 
 def grow_candidates(crystal: Crystal, need: int, per_pair: bool = False):

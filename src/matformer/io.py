@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .crystal import Crystal, cart_to_frac, cell_volume, crystal_from_frac
-from .graphs import KINDS, CrystalGraph
+from .graphs import DIST_TOL, KINDS, CrystalGraph
 
 ELEMENTS = (
     "H", "He", "Li", "Be", "B", "C", "N", "O", "F", "Ne",
@@ -173,10 +173,35 @@ def parse_crystal_json(text: str) -> Crystal:
 
 
 def read_crystal(path: str) -> Crystal:
-    """Dispatch on extension: .json or POSCAR-style text."""
+    """Dispatch on extension: .json or POSCAR-style text.  Two atoms closer
+    than ``DIST_TOL``, periodic images included, raise ValueError naming both."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_crystal_json(text) if path.endswith(".json") else parse_poscar(text)
+    crystal = parse_crystal_json(text) if path.endswith(".json") else parse_poscar(text)
+    _check_distinct_sites(crystal)
+    return crystal
+
+
+# atom pairs compared at once by _check_distinct_sites: its memory stays bounded
+_PAIR_BLOCK = 1 << 16
+
+
+def _check_distinct_sites(crystal: Crystal) -> None:
+    """ValueError naming the first pair ``i < j`` of atoms within ``DIST_TOL``
+    of each other or of an image.  Only the nearest image of each fractional
+    difference is measured, which finds every such pair in a cell whose
+    interplanar spacings exceed ``2 * DIST_TOL``."""
+    n, frac = crystal.n_atoms, crystal.frac_coords
+    rows = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n - 1, rows):
+        diff = frac[None, lo + 1 :] - frac[lo : lo + rows, None]  # rows i, columns j = lo + 1 + c
+        diff -= np.rint(diff)
+        vec = diff.reshape(-1, 3) @ crystal.lattice
+        close = np.triu(np.einsum("ij,ij->i", vec, vec).reshape(diff.shape[:2]) < DIST_TOL**2)  # j > i
+        if close.any():
+            r, c = np.argwhere(close)[0]
+            raise ValueError(f"atoms {lo + r} and {lo + 1 + c} are closer than {DIST_TOL:g} angstrom "
+                             "(periodic images included): a crystal needs distinct sites")
 
 
 # --- graph serialization --------------------------------------------------------

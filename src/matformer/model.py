@@ -153,6 +153,8 @@ class Matformer:
 
     def _build(self, config: ModelConfig, init: engine.ParameterInit) -> None:
         self.config = c = config
+        # None, or the {"mean", "std"} of the targets train standardized: a prediction p is p * std + mean
+        self.target_scale: dict[str, float] | None = None
         self.embedding = GraphEmbedding(
             c.d_model, n_kernels=c.rbf_kernels, lo=c.rbf_lo, hi=c.rbf_hi,
             activation=c.activation, rng=init,
@@ -216,7 +218,7 @@ class Matformer:
         return engine.linear(hidden, r["w2"], r["b2"])
 
     def predict(self, crystal: Crystal) -> float:
-        """Eval-mode prediction for one crystal, computed without a tape."""
+        """Eval-mode prediction for one crystal, without a tape, in normalized units (see ``target_scale``)."""
         with engine.no_grad():
             return float(self.forward(self.prepare(crystal), training=False).values[0, 0])
 
@@ -230,6 +232,7 @@ class Matformer:
                  "momentum": s.momentum, "num_batches": s.num_batches}
                 for s in (layer.bn_state for layer in self.layers)
             ],
+            **({} if self.target_scale is None else {"target_scale": dict(self.target_scale)}),
         }
 
     @classmethod
@@ -237,9 +240,9 @@ class Matformer:
         """Rebuild a model from ``to_checkpoint``'s dict, or from a version 1
         one (no ``format_version``; arrays as decimal ``values`` lists).
 
-        Every field is checked, and ``target_scale`` too if it is there: a
-        value of the wrong JSON type or an array that is not the shape the
-        model built raises ValueError naming the entry.
+        Every field is checked, and ``target_scale`` too if it is there (the
+        model keeps it): a value of the wrong JSON type or an array that is
+        not the shape the model built raises ValueError naming the entry.
         """
         if not isinstance(data, dict):
             raise ValueError(f"checkpoint must be a JSON object, got {type(data).__name__}")
@@ -256,8 +259,7 @@ class Matformer:
         scale = data.get("target_scale")
         if scale is not None:
             _checked(scale, "object", "target_scale")
-            for key in ("mean", "std"):
-                _checked(scale.get(key), "float", f"target_scale.{key}")
+            scale = {key: _checked(scale.get(key), "float", f"target_scale.{key}") for key in ("mean", "std")}
         unknown = sorted(set(data["config"]) - {f.name for f in fields(ModelConfig)})
         if unknown:
             raise ValueError(f"checkpoint config has unknown keys: {unknown}")
@@ -283,6 +285,7 @@ class Matformer:
             params[name].values = _decode(entry, params[name].shape, name)
         for layer, state in zip(model.layers, states):
             layer.bn_state = state
+        model.target_scale = scale
         return model
 
 

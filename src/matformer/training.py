@@ -134,7 +134,7 @@ def ewt(preds, targets, threshold: float) -> float:
 class TrainResult:
     log: list[dict]
     best_model: Matformer          # the weights of the best validation epoch
-    best_checkpoint: dict          # best_model.to_checkpoint() plus target_scale
+    best_checkpoint: dict          # best_model.to_checkpoint(), target_scale included
     best_val_mae: float
 
 
@@ -179,7 +179,8 @@ def train(
     """MSE training with per-epoch MAE/EwT validation.
 
     Records carry ``.crystal`` and ``.target``.  Targets are standardized on
-    the training split (metrics are reported in original units).  The best
+    the training split, whose mean and std become ``model.target_scale``
+    (metrics are reported in original units).  The best
     model by validation MAE is returned with its checkpoint, from one copy of
     the model per improving epoch; the model itself ends with the last
     epoch's weights and no parameter holds a ``.grad``: each step's gradients
@@ -219,6 +220,7 @@ def train(
     if t_std == 0.0:
         t_std = 1.0
     scaled_targets = (train_targets - t_mean) / t_std
+    model.target_scale = {"mean": t_mean, "std": t_std}  # each best-epoch copy inherits it
 
     n_train = len(train_records)
     steps_per_epoch = math.ceil(n_train / config.batch_size)
@@ -276,6 +278,4 @@ def train(
             best_val = val_mae
             best = copy.deepcopy(model)
 
-    best_checkpoint = best.to_checkpoint()
-    best_checkpoint["target_scale"] = {"mean": t_mean, "std": t_std}
-    return TrainResult(log=log, best_model=best, best_checkpoint=best_checkpoint, best_val_mae=best_val)
+    return TrainResult(log=log, best_model=best, best_checkpoint=best.to_checkpoint(), best_val_mae=best_val)

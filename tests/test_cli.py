@@ -621,11 +621,38 @@ class TestCouldNotRun:
          "cannot audit the ocgraph builder: radius must be positive and finite, got inf"),
         (["build-graph", "{empty}"], "no crystal files found"),
         (["train", "--data", "{data}", "--targets", "{targets}", "--out-dir", "{run}"], "no target for crystal 'a'"),
+        # a construction flag given to a construction that does not read it
+        (["audit", "{cube}", "--builder", "radius", "--radius", "nan", "--trials", "2"],
+         "--radius is not read by the radius construction, only by ocgraph"),
+        (["audit", "{cube}", "--builder", "knn", "--radius", "nan"],
+         "--radius is not read by the knn construction, only by ocgraph"),
+        (["audit", "{cube}", "--builder", "ocgraph", "--k", "0"], "--k is not read by the ocgraph construction, only by knn"),
+        (["audit", "{cube}", "--builder", "knn", "--self-edges"],
+         "--self-edges is not read by the knn construction, only by radius and tfc"),
+        (["audit", "{cube}", "--builder", "tfc", "--rank", "4"], "--rank is not read by the tfc construction, only by radius"),
+        (["build-graph", "{cube}", "--t", "2"], "--t is not read by the radius construction, only by tfc"),
+        (["build-graph", "{cube}", "--method", "tfc", "--rank", "12"],
+         "--rank is not read by the tfc construction, only by radius"),
+        (["featurize", "{cube}", "--method", "tfc", "--rank", "4"],
+         "--rank is not read by the tfc construction, only by radius"),
+        # the budget line stays short at a radius whose estimate has about 900 digits
+        (["audit", "{cube}", "--builder", "ocgraph", "--radius", "1e300"],
+         "cannot audit the ocgraph builder: neighbor search over 1 atoms at r=1.000e+300 would need "
+         "5.112e+896 MiB for its image grid (limit 1024 MiB)"),
+        # two atoms at one point, and one atom on another's periodic image
+        (["build-graph", "{same}"], "cannot read {same}: atoms 0 and 1 are closer than 1e-09 angstrom "
+         "(periodic images included): a crystal needs distinct sites"),
+        (["audit", "{image}"], "cannot read {image}: atoms 0 and 1 are closer than 1e-09 angstrom "
+         "(periodic images included): a crystal needs distinct sites"),
     ])
     def test_exits_two_with_one_line(self, tmp_path, cube_file, capsys, argv, message):
         paths = {"n": tmp_path / "n.json", "cube": cube_file, "run": tmp_path / "run", "empty": tmp_path / "empty",
-                 "data": tmp_path / "data", "targets": tmp_path / "t.csv"}
+                 "data": tmp_path / "data", "targets": tmp_path / "t.csv", "same": tmp_path / "same.json",
+                 "image": tmp_path / "image.poscar"}
         paths["n"].write_text("3")
+        paths["same"].write_text(json.dumps({"atomic_numbers": [1, 1], "positions": [[0.5, 0.5, 0.5]] * 2,
+                                             "lattice": np.eye(3).tolist()}))
+        paths["image"].write_text(CUBE_POSCAR.replace("H\n1\nDirect", "H\n2\nCartesian") + "1.0 0.0 0.0\n")
         paths["empty"].mkdir()
         paths["data"].mkdir()
         (paths["data"] / "a.poscar").write_text(CUBE_POSCAR)

@@ -184,6 +184,17 @@ class TestNeighborCandidates:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("r", [1e12, 1e300, np.finfo(float).max])
+    @pytest.mark.parametrize("edge", [0.5, 3.0])
+    def test_a_refusal_at_any_finite_radius_is_one_short_line(self, r, edge):
+        # the estimate of 1e300 has about 900 digits; at a 0.5 A edge the largest
+        # float over a spacing leaves the float range
+        c = cubic(a=edge, fracs=[[0, 0, 0], [0.5, 0, 0]])
+        with pytest.raises(ValueError, match=r"^neighbor search over 2 atoms at r=\d\.\d{3}e\+\d+ would need "
+                                             r"\d\.\d{3}e\+\d+ MiB for its image grid \(limit 1024 MiB\)$") as err:
+            neighbor_candidates(c, r)
+        assert len(str(err.value)) <= 200
+
     def test_large_cell_radius_graph_fits(self):
         # the 12-neighbor radius needs only the zero offset of a 17.5 A cell
         big = self.big_cell()

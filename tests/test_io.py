@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from matformer import io
 from matformer.crystal import Crystal, frac_to_cart, wrap_fractional
 from matformer.graphs import KINDS, add_self_connecting_edges, build_radius_graph, build_t_fully_connected
-from matformer.synthetic import random_corpus
+from matformer.synthetic import random_corpus, random_crystal
 from oracles import write_targets_csv
 
 # any value json.loads can return, nested
@@ -221,6 +221,49 @@ class TestCrystalJson:
             assert isinstance(io.crystal_from_dict(value if key is None else {**data, key: value}), Crystal)
         except ValueError:
             pass
+
+
+class TestDistinctSites:
+    """``read_crystal`` rejects two atoms closer than ``DIST_TOL``, periodic images included."""
+
+    # two atoms at one point, and one atom on another's periodic image in a 3 A cube
+    LAYOUTS = {"one_point": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "periodic_image": [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]}
+    MESSAGE = r"^atoms 0 and 1 are closer than 1e-09 angstrom \(periodic images included\): a crystal needs distinct sites$"
+
+    @staticmethod
+    def write(tmp_path, positions, suffix):
+        if suffix == ".json":
+            text = json.dumps({"atomic_numbers": [1, 8], "positions": positions, "lattice": (3 * np.eye(3)).tolist()})
+        else:
+            text = "pair\n1.0\n3 0 0\n0 3 0\n0 0 3\nH O\n1 1\nCartesian\n"
+            text += "".join(" ".join(map(repr, p)) + "\n" for p in positions)
+        path = tmp_path / f"pair{suffix}"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("suffix", [".json", ".poscar"])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_coincident_atoms_are_rejected_naming_both(self, tmp_path, layout, suffix):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            io.read_crystal(self.write(tmp_path, self.LAYOUTS[layout], suffix))
+
+    @pytest.mark.parametrize("suffix", [".json", ".poscar"])
+    def test_a_pair_past_the_tolerance_reads(self, tmp_path, suffix):
+        assert io.read_crystal(self.write(tmp_path, [[0.0, 0.0, 0.0], [3.0 - 1e-8, 0.0, 0.0]], suffix)).n_atoms == 2
+
+    def test_the_first_pair_is_named_across_row_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_PAIR_BLOCK", 7)  # a few rows per block
+        crystal = random_crystal(np.random.default_rng(34), n_atoms=9)
+        frac = crystal.frac_coords
+        path = tmp_path / "c.json"
+        path.write_text(io.write_crystal_json(crystal))
+        assert io.read_crystal(str(path)).n_atoms == 9
+        # atom 7 again one cell over, then atom 2 again
+        duplicated = np.concatenate([frac, frac[[7]] + [0, 1, 0], frac[[2]]])
+        path.write_text(io.write_crystal_json(Crystal(np.arange(1, 12), frac_to_cart(duplicated, crystal.lattice),
+                                                      crystal.lattice)))
+        with pytest.raises(ValueError, match=r"^atoms 2 and 10 are closer"):
+            io.read_crystal(str(path))
 
 
 class TestGraphSerialization:

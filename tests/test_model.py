@@ -393,6 +393,15 @@ class TestCheckpoint:
         clone = Matformer.from_checkpoint(model.to_checkpoint())
         assert clone.predict(crystal) == base
 
+    def test_target_scale_round_trips_on_the_model(self):
+        model = Matformer(SMALL, seed=6)
+        assert model.target_scale is None and "target_scale" not in model.to_checkpoint()
+        model.target_scale = {"mean": 1.5, "std": 0.25}
+        data = json.loads(json.dumps(model.to_checkpoint()))
+        assert list(data)[-1] == "target_scale"
+        clone = Matformer.from_checkpoint(data)
+        assert clone.target_scale == model.target_scale and clone.to_checkpoint() == data
+
     def test_loading_draws_no_initialisation(self, monkeypatch):
         data = Matformer(SMALL, seed=6).to_checkpoint()
 

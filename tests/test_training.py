@@ -318,9 +318,7 @@ class TestBestCheckpoint:
         records = make_records(4, seed=6)
         model = Matformer(TINY_MODEL, seed=3)
         result = train(model, records, records, TrainConfig(epochs=1, batch_size=2, seed=0))
-        best = dict(result.best_checkpoint)
-        assert best.pop("target_scale")
-        assert best == model.to_checkpoint() == result.best_model.to_checkpoint()
+        assert result.best_checkpoint == model.to_checkpoint() == result.best_model.to_checkpoint()
 
     def test_one_model_copy_per_improving_epoch(self, monkeypatch):
         copies = []
